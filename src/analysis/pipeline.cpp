@@ -2,6 +2,17 @@
 
 namespace tamper::analysis {
 
+namespace {
+
+/// ScannerStats in checkpoint order, for snapshot/restore/merge_from.
+constexpr std::array<std::uint64_t Pipeline::ScannerStats::*, 5> kScannerFields = {
+    &Pipeline::ScannerStats::connections,     &Pipeline::ScannerStats::no_tcp_options,
+    &Pipeline::ScannerStats::high_ttl,        &Pipeline::ScannerStats::syn_rst_matches,
+    &Pipeline::ScannerStats::syn_rst_zmap,
+};
+
+}  // namespace
+
 Pipeline::Pipeline(const world::World& world, core::ClassifierConfig classifier_config)
     : world_(world),
       classifier_(classifier_config),
@@ -41,36 +52,13 @@ void Pipeline::set_obs(obs::Registry* metrics, obs::Tracer* tracer,
   auto& degraded_family = metrics->counter_family(
       "tamper_pipeline_degraded_total",
       "Degraded-input events by cause (mirrors DegradedStats)", {"cause"});
-  struct CauseMirror {
-    obs::Counter* counter;
-    std::uint64_t DegradedStats::* field;
-  };
-  const std::vector<CauseMirror> mirrors = {
-      {&degraded_family.with({"empty_samples"}), &DegradedStats::empty_samples},
-      {&degraded_family.with({"ingest_errors"}), &DegradedStats::ingest_errors},
-      {&degraded_family.with({"malformed_packets"}), &DegradedStats::malformed_packets},
-      {&degraded_family.with({"overload_evicted"}), &DegradedStats::overload_evicted},
-      {&degraded_family.with({"unparseable_frames"}), &DegradedStats::unparseable_frames},
-      {&degraded_family.with({"oversize_frames"}), &DegradedStats::oversize_frames},
-      {&degraded_family.with({"truncated_frames"}), &DegradedStats::truncated_frames},
-      {&degraded_family.with({"queue_shed_embryonic"}),
-       &DegradedStats::queue_shed_embryonic},
-      {&degraded_family.with({"queue_shed_other"}), &DegradedStats::queue_shed_other},
-      {&degraded_family.with({"spool_replay_failures"}),
-       &DegradedStats::spool_replay_failures},
-      {&degraded_family.with({"spool_dropped"}), &DegradedStats::spool_dropped},
-      {&degraded_family.with({"admission_rate_limited"}),
-       &DegradedStats::admission_rate_limited},
-      {&degraded_family.with({"admission_sampled_down"}),
-       &DegradedStats::admission_sampled_down},
-      {&degraded_family.with({"admission_embryonic_shed"}),
-       &DegradedStats::admission_embryonic_shed},
-      {&degraded_family.with({"admission_rejected"}),
-       &DegradedStats::admission_rejected},
-  };
+  std::array<obs::Counter*, kDegradedFields.size()> mirrors{};
+  for (std::size_t i = 0; i < kDegradedFields.size(); ++i)
+    mirrors[i] = &degraded_family.with({std::string(kDegradedFields[i].label)});
   obs_collector_ = metrics->add_collector([this, mirrors] {
     const DegradedStats d = degraded();
-    for (const CauseMirror& m : mirrors) m.counter->increment_to(d.*m.field);
+    for (std::size_t i = 0; i < kDegradedFields.size(); ++i)
+      mirrors[i]->increment_to(d.*kDegradedFields[i].member);
   });
 
   // Classification mirrors + trends bookkeeping. Registered here, written
@@ -109,13 +97,13 @@ void Pipeline::sample_trends() {
   const DegradedStats d = degraded();
   const bool mirror = obs_metrics_ != nullptr;
 
-  // The catalog's "agg:" sources point at the tamper_class_* registry
-  // mirrors, which this pass updates alongside the ring (increment_to keeps
-  // them idempotent across crash-resume re-derivation). One fused pass per
-  // aggregate — the country loops walk matrix rows, mirror-handle maps, and
-  // the ring in lockstep (all sorted by country), so each per-label sample
-  // costs amortized-constant lookups and rollup sampling honors the ≤2%
-  // overhead contract (DESIGN.md §12).
+  // The aggregate sources have tamper_class_* registry mirrors, which this
+  // pass updates alongside the ring (increment_to keeps them idempotent
+  // across crash-resume re-derivation). One fused pass per aggregate — the
+  // country loops walk matrix rows, mirror-handle maps, and the ring in
+  // lockstep (all sorted by country), so each per-label sample costs
+  // amortized-constant lookups and rollup sampling honors the ≤2% overhead
+  // contract (DESIGN.md §12).
   if (mirror) {
     class_connections_c_->increment_to(matrix_.total_connections());
     class_possibly_c_->increment_to(matrix_.possibly_tampered());
@@ -123,18 +111,26 @@ void Pipeline::sample_trends() {
   }
 
   for (const obs::SeriesSpec& spec : obs::default_series_catalog()) {
-    const bool from_agg = spec.source.rfind("agg:", 0) == 0;
-    if (from_agg) {
-      if (spec.family == "connections") {
-        trends_.record_epoch(spec.family, "", spec.merge, epoch,
-                             static_cast<double>(matrix_.total_connections()));
-      } else if (spec.family == "possibly_tampered") {
-        trends_.record_epoch(spec.family, "", spec.merge, epoch,
-                             static_cast<double>(matrix_.possibly_tampered()));
-      } else if (spec.family == "signature_matched") {
-        trends_.record_epoch(spec.family, "", spec.merge, epoch,
-                             static_cast<double>(matrix_.matched()));
-      } else if (spec.family == "signature_matches") {
+    const auto record = [&](double value) {
+      trends_.record_epoch(spec.family, "", spec.merge, epoch, value);
+    };
+    // Registry sources; an absent family (e.g. overload control disabled)
+    // is simply not sampled.
+    const auto record_metric = [&](std::string_view metric) {
+      double value = 0.0;
+      if (mirror && obs_metrics_->read_family_total(metric, &value)) record(value);
+    };
+    switch (spec.source) {
+      case obs::SeriesSource::kConnections:
+        record(static_cast<double>(matrix_.total_connections()));
+        break;
+      case obs::SeriesSource::kPossiblyTampered:
+        record(static_cast<double>(matrix_.possibly_tampered()));
+        break;
+      case obs::SeriesSource::kSignatureMatched:
+        record(static_cast<double>(matrix_.matched()));
+        break;
+      case obs::SeriesSource::kSignatureMatches:
         for (std::size_t s = 0; s < core::kSignatureCount; ++s) {
           const auto sig = static_cast<core::Signature>(s);
           const std::uint64_t total = matrix_.signature_total(sig);
@@ -148,54 +144,42 @@ void Pipeline::sample_trends() {
           trends_.record_epoch(spec.family, core::name(sig), spec.merge, epoch,
                                static_cast<double>(total));
         }
-      } else if (spec.family == "country_connections") {
+        break;
+      case obs::SeriesSource::kCountryConnections:
+      case obs::SeriesSource::kCountryMatches: {
+        const bool matches = spec.source == obs::SeriesSource::kCountryMatches;
+        auto& handles = matches ? class_country_match_mirror_ : class_country_conn_mirror_;
+        obs::CounterFamily* family =
+            matches ? class_country_match_fam_ : class_country_conn_fam_;
         obs::EpochRing::Cursor cursor(trends_);
-        auto handle = class_country_conn_mirror_.begin();
+        auto handle = handles.begin();
         for (const auto& [cc, row] : matrix_.rows()) {
+          const std::uint64_t value = matches ? row.matches : row.connections;
+          if (matches && value == 0) continue;
           if (mirror) {
-            while (handle != class_country_conn_mirror_.end() && handle->first < cc)
-              ++handle;
-            if (handle == class_country_conn_mirror_.end() || handle->first != cc)
-              handle = class_country_conn_mirror_.emplace_hint(
-                  handle, cc, &class_country_conn_fam_->with({cc}));
-            handle->second->increment_to(row.connections);
+            while (handle != handles.end() && handle->first < cc) ++handle;
+            if (handle == handles.end() || handle->first != cc)
+              handle = handles.emplace_hint(handle, cc, &family->with({cc}));
+            handle->second->increment_to(value);
           }
           cursor.record_epoch(spec.family, cc, spec.merge, epoch,
-                              static_cast<double>(row.connections));
+                              static_cast<double>(value));
         }
-      } else if (spec.family == "country_matches") {
-        obs::EpochRing::Cursor cursor(trends_);
-        auto handle = class_country_match_mirror_.begin();
-        for (const auto& [cc, row] : matrix_.rows()) {
-          if (row.matches == 0) continue;
-          if (mirror) {
-            while (handle != class_country_match_mirror_.end() && handle->first < cc)
-              ++handle;
-            if (handle == class_country_match_mirror_.end() || handle->first != cc)
-              handle = class_country_match_mirror_.emplace_hint(
-                  handle, cc, &class_country_match_fam_->with({cc}));
-            handle->second->increment_to(row.matches);
-          }
-          cursor.record_epoch(spec.family, cc, spec.merge, epoch,
-                              static_cast<double>(row.matches));
-        }
-      } else if (spec.family == "degraded") {
+        break;
+      }
+      case obs::SeriesSource::kDegraded:
         // Coverage loss only (not d.total()): noise counters like a single
         // empty flow must not mark the whole epoch degraded and suppress
         // the watchdog scan for it.
-        trends_.record_epoch(spec.family, "", spec.merge, epoch,
-                             static_cast<double>(d.coverage_loss()));
-      }
-      continue;
+        record(static_cast<double>(d.coverage_loss()));
+        break;
+      case obs::SeriesSource::kOverloadLevel:
+        record_metric("tamper_overload_level");
+        break;
+      case obs::SeriesSource::kOverloadShed:
+        record_metric("tamper_overload_shed_total");
+        break;
     }
-    // "metric:" sources read the registry; an absent family (e.g. overload
-    // control disabled) is simply not sampled.
-    if (!mirror) continue;
-    const std::string_view metric =
-        std::string_view(spec.source).substr(std::string_view("metric:").size());
-    double value = 0.0;
-    if (obs_metrics_->read_family_total(metric, &value))
-      trends_.record_epoch(spec.family, "", spec.merge, epoch, value);
   }
 
   if (obs_metrics_ != nullptr) {
@@ -268,28 +252,9 @@ void Pipeline::run(world::TrafficGenerator& generator, std::size_t connections) 
 void Pipeline::snapshot(common::BinWriter& w) const {
   {
     common::MutexLock lock(stats_mu_);
-    w.u64(degraded_.empty_samples);
-    w.u64(degraded_.ingest_errors);
-    w.u64(degraded_.malformed_packets);
-    w.u64(degraded_.overload_evicted);
-    w.u64(degraded_.unparseable_frames);
-    w.u64(degraded_.oversize_frames);
-    w.u64(degraded_.truncated_frames);
-    w.u64(degraded_.queue_shed_embryonic);
-    w.u64(degraded_.queue_shed_other);
-    w.u64(degraded_.spool_replay_failures);
-    w.u64(degraded_.spool_dropped);
-    w.u64(degraded_.admission_rate_limited);
-    w.u64(degraded_.admission_sampled_down);
-    w.u64(degraded_.admission_embryonic_shed);
-    w.u64(degraded_.admission_rejected);
+    for (const DegradedField& f : kDegradedFields) w.u64(degraded_.*f.member);
   }
-
-  w.u64(scanner_.connections);
-  w.u64(scanner_.no_tcp_options);
-  w.u64(scanner_.high_ttl);
-  w.u64(scanner_.syn_rst_matches);
-  w.u64(scanner_.syn_rst_zmap);
+  for (const auto field : kScannerFields) w.u64(scanner_.*field);
   w.i64(latest_ts_sec_);
 
   matrix_.snapshot(w);
@@ -305,28 +270,9 @@ void Pipeline::snapshot(common::BinWriter& w) const {
 void Pipeline::restore(common::BinReader& r) {
   {
     common::MutexLock lock(stats_mu_);
-    degraded_.empty_samples = r.u64();
-    degraded_.ingest_errors = r.u64();
-    degraded_.malformed_packets = r.u64();
-    degraded_.overload_evicted = r.u64();
-    degraded_.unparseable_frames = r.u64();
-    degraded_.oversize_frames = r.u64();
-    degraded_.truncated_frames = r.u64();
-    degraded_.queue_shed_embryonic = r.u64();
-    degraded_.queue_shed_other = r.u64();
-    degraded_.spool_replay_failures = r.u64();
-    degraded_.spool_dropped = r.u64();
-    degraded_.admission_rate_limited = r.u64();
-    degraded_.admission_sampled_down = r.u64();
-    degraded_.admission_embryonic_shed = r.u64();
-    degraded_.admission_rejected = r.u64();
+    for (const DegradedField& f : kDegradedFields) degraded_.*f.member = r.u64();
   }
-
-  scanner_.connections = r.u64();
-  scanner_.no_tcp_options = r.u64();
-  scanner_.high_ttl = r.u64();
-  scanner_.syn_rst_matches = r.u64();
-  scanner_.syn_rst_zmap = r.u64();
+  for (const auto field : kScannerFields) scanner_.*field = r.u64();
   latest_ts_sec_ = r.i64();
 
   matrix_.restore(r);
@@ -342,12 +288,7 @@ void Pipeline::restore(common::BinReader& r) {
   // at zero again; the delta baselines must follow.
   {
     common::MutexLock lock(stats_mu_);
-    last_reader_ = {};
-    last_sampler_ = {};
-    last_queue_ = {};
-    last_sink_replay_failures_ = 0;
-    last_spool_dropped_ = 0;
-    last_admission_ = {};
+    baseline_ = {};
   }
 }
 
@@ -358,28 +299,9 @@ void Pipeline::merge_from(const Pipeline& other) {
     // merge into each other), so the order cannot invert.
     common::MutexLock lock(stats_mu_);
     const DegradedStats od = other.degraded();
-    degraded_.empty_samples += od.empty_samples;
-    degraded_.ingest_errors += od.ingest_errors;
-    degraded_.malformed_packets += od.malformed_packets;
-    degraded_.overload_evicted += od.overload_evicted;
-    degraded_.unparseable_frames += od.unparseable_frames;
-    degraded_.oversize_frames += od.oversize_frames;
-    degraded_.truncated_frames += od.truncated_frames;
-    degraded_.queue_shed_embryonic += od.queue_shed_embryonic;
-    degraded_.queue_shed_other += od.queue_shed_other;
-    degraded_.spool_replay_failures += od.spool_replay_failures;
-    degraded_.spool_dropped += od.spool_dropped;
-    degraded_.admission_rate_limited += od.admission_rate_limited;
-    degraded_.admission_sampled_down += od.admission_sampled_down;
-    degraded_.admission_embryonic_shed += od.admission_embryonic_shed;
-    degraded_.admission_rejected += od.admission_rejected;
+    for (const DegradedField& f : kDegradedFields) degraded_.*f.member += od.*f.member;
   }
-
-  scanner_.connections += other.scanner_.connections;
-  scanner_.no_tcp_options += other.scanner_.no_tcp_options;
-  scanner_.high_ttl += other.scanner_.high_ttl;
-  scanner_.syn_rst_matches += other.scanner_.syn_rst_matches;
-  scanner_.syn_rst_zmap += other.scanner_.syn_rst_zmap;
+  for (const auto field : kScannerFields) scanner_.*field += other.scanner_.*field;
   if (other.latest_ts_sec_ > latest_ts_sec_) latest_ts_sec_ = other.latest_ts_sec_;
 
   matrix_.merge(other.matrix_);

@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "analysis/aggregates.h"
 #include "analysis/evidence.h"
@@ -54,13 +55,7 @@ struct DegradedStats {
   std::uint64_t admission_embryonic_shed = 0; ///< embryonic shed at admission
   std::uint64_t admission_rejected = 0;       ///< kShedding refused the flow
 
-  [[nodiscard]] std::uint64_t total() const noexcept {
-    return empty_samples + ingest_errors + malformed_packets + overload_evicted +
-           unparseable_frames + oversize_frames + truncated_frames +
-           queue_shed_embryonic + queue_shed_other + spool_replay_failures +
-           spool_dropped + admission_rate_limited + admission_sampled_down +
-           admission_embryonic_shed + admission_rejected;
-  }
+  [[nodiscard]] std::uint64_t total() const noexcept;
 
   /// Coverage loss: samples/flows removed from aggregation entirely — what
   /// the anomaly watchdog's `degraded` trends series tracks (DESIGN.md §12).
@@ -68,13 +63,50 @@ struct DegradedStats {
   /// packets inside an observed flow) and report-delivery losses (spool_*,
   /// surfaced at the merger as missing partials): a stray junk flow per
   /// epoch must not blind the watchdog for that epoch.
-  [[nodiscard]] std::uint64_t coverage_loss() const noexcept {
-    return ingest_errors + overload_evicted + unparseable_frames +
-           oversize_frames + truncated_frames + queue_shed_embryonic +
-           queue_shed_other + admission_rate_limited + admission_sampled_down +
-           admission_embryonic_shed + admission_rejected;
-  }
+  [[nodiscard]] std::uint64_t coverage_loss() const noexcept;
 };
+
+/// One DegradedStats counter. The table below is the only list of them:
+/// total(), coverage_loss(), the tamper_pipeline_degraded_total mirror,
+/// snapshot/restore/merge and the Radar `degraded_input` block all walk it,
+/// in this order (which is also the checkpoint field order).
+struct DegradedField {
+  std::string_view label;  ///< `cause` label of tamper_pipeline_degraded_total
+  std::uint64_t DegradedStats::* member;
+  bool coverage_loss;           ///< counts toward coverage_loss()
+  std::string_view json_key{};  ///< Radar JSON key when it differs from label
+};
+
+inline constexpr std::array<DegradedField, 15> kDegradedFields = {{
+    {"empty_samples", &DegradedStats::empty_samples, false},
+    {"ingest_errors", &DegradedStats::ingest_errors, true},
+    {"malformed_packets", &DegradedStats::malformed_packets, false},
+    {"overload_evicted", &DegradedStats::overload_evicted, true, "overload_evicted_flows"},
+    {"unparseable_frames", &DegradedStats::unparseable_frames, true},
+    {"oversize_frames", &DegradedStats::oversize_frames, true},
+    {"truncated_frames", &DegradedStats::truncated_frames, true},
+    {"queue_shed_embryonic", &DegradedStats::queue_shed_embryonic, true},
+    {"queue_shed_other", &DegradedStats::queue_shed_other, true},
+    {"spool_replay_failures", &DegradedStats::spool_replay_failures, false},
+    {"spool_dropped", &DegradedStats::spool_dropped, false},
+    {"admission_rate_limited", &DegradedStats::admission_rate_limited, true},
+    {"admission_sampled_down", &DegradedStats::admission_sampled_down, true},
+    {"admission_embryonic_shed", &DegradedStats::admission_embryonic_shed, true},
+    {"admission_rejected", &DegradedStats::admission_rejected, true},
+}};
+
+inline std::uint64_t DegradedStats::total() const noexcept {
+  std::uint64_t sum = 0;
+  for (const DegradedField& f : kDegradedFields) sum += this->*f.member;
+  return sum;
+}
+
+inline std::uint64_t DegradedStats::coverage_loss() const noexcept {
+  std::uint64_t sum = 0;
+  for (const DegradedField& f : kDegradedFields)
+    if (f.coverage_loss) sum += this->*f.member;
+  return sum;
+}
 
 class Pipeline {
  public:
@@ -140,39 +172,32 @@ class Pipeline {
   void record_reader_stats(const net::PcapReader::Stats& s) noexcept
       TAMPER_EXCLUDES(stats_mu_) {
     common::MutexLock lock(stats_mu_);
-    degraded_.unparseable_frames += delta(s.skipped_unparseable, last_reader_.skipped_unparseable);
-    degraded_.oversize_frames += delta(s.skipped_oversize, last_reader_.skipped_oversize);
-    degraded_.truncated_frames += delta(s.skipped_truncated, last_reader_.skipped_truncated);
-    last_reader_ = s;
+    absorb(&DegradedStats::unparseable_frames, s.skipped_unparseable);
+    absorb(&DegradedStats::oversize_frames, s.skipped_oversize);
+    absorb(&DegradedStats::truncated_frames, s.skipped_truncated);
   }
   void record_sampler_stats(const capture::ConnectionSampler::Stats& s) noexcept
       TAMPER_EXCLUDES(stats_mu_) {
     common::MutexLock lock(stats_mu_);
-    degraded_.malformed_packets += delta(s.packets_malformed, last_sampler_.packets_malformed);
-    degraded_.overload_evicted +=
-        delta(s.flows_evicted_overload, last_sampler_.flows_evicted_overload);
-    last_sampler_ = s;
+    absorb(&DegradedStats::malformed_packets, s.packets_malformed);
+    absorb(&DegradedStats::overload_evicted, s.flows_evicted_overload);
   }
   void record_queue_stats(const common::BoundedQueueStats& s) noexcept
       TAMPER_EXCLUDES(stats_mu_) {
     common::MutexLock lock(stats_mu_);
-    degraded_.queue_shed_embryonic += delta(s.shed_low_value, last_queue_.shed_low_value);
-    degraded_.queue_shed_other += delta(s.shed_other, last_queue_.shed_other);
-    last_queue_ = s;
+    absorb(&DegradedStats::queue_shed_embryonic, s.shed_low_value);
+    absorb(&DegradedStats::queue_shed_other, s.shed_other);
   }
   /// Report-sink degradation: cumulative counts of spooled reports that
   /// failed replay (quarantined) and of spool-cap evictions — both data
   /// loss an operator must see. Takes plain counters, not the emitter's
   /// Stats struct, so the analysis layer stays below the service layer.
   void record_sink_stats(std::uint64_t spool_replay_failures,
-                         std::uint64_t spool_dropped = 0) noexcept
+                         std::uint64_t spool_dropped) noexcept
       TAMPER_EXCLUDES(stats_mu_) {
     common::MutexLock lock(stats_mu_);
-    degraded_.spool_replay_failures +=
-        delta(spool_replay_failures, last_sink_replay_failures_);
-    last_sink_replay_failures_ = spool_replay_failures;
-    degraded_.spool_dropped += delta(spool_dropped, last_spool_dropped_);
-    last_spool_dropped_ = spool_dropped;
+    absorb(&DegradedStats::spool_replay_failures, spool_replay_failures);
+    absorb(&DegradedStats::spool_dropped, spool_dropped);
   }
   /// Admission-control shed accounting (cumulative, from the overload
   /// controller's stats). Plain counters for the same layering reason as
@@ -182,12 +207,10 @@ class Pipeline {
                              std::uint64_t rejected) noexcept
       TAMPER_EXCLUDES(stats_mu_) {
     common::MutexLock lock(stats_mu_);
-    degraded_.admission_rate_limited += delta(rate_limited, last_admission_.rate_limited);
-    degraded_.admission_sampled_down += delta(sampled_down, last_admission_.sampled_down);
-    degraded_.admission_embryonic_shed +=
-        delta(embryonic_shed, last_admission_.embryonic_shed);
-    degraded_.admission_rejected += delta(rejected, last_admission_.rejected);
-    last_admission_ = {rate_limited, sampled_down, embryonic_shed, rejected};
+    absorb(&DegradedStats::admission_rate_limited, rate_limited);
+    absorb(&DegradedStats::admission_sampled_down, sampled_down);
+    absorb(&DegradedStats::admission_embryonic_shed, embryonic_shed);
+    absorb(&DegradedStats::admission_rejected, rejected);
   }
 
   /// Evidence-only mode (degradation ladder level kEvidenceOnly and above):
@@ -231,21 +254,26 @@ class Pipeline {
   /// members are commutative monoids (see aggregates.h), degraded/scanner
   /// counters add, and latest_ts_sec takes the max — so a fleet merger can
   /// combine per-PoP partials in any order or grouping and serialize to
-  /// identical bytes. The delta baselines (last_*) are per-process state
-  /// and are not merged.
+  /// identical bytes. The delta baseline is per-process state and is not
+  /// merged.
   void merge_from(const Pipeline& other) TAMPER_EXCLUDES(stats_mu_);
 
   /// Serialize every aggregator plus the degraded/scanner accounting into a
   /// checkpoint payload (see service::Checkpoint for the file envelope).
   void snapshot(common::BinWriter& w) const;
   /// Replace all aggregator state from a payload written by snapshot().
-  /// The last-source snapshots reset: a restored process has fresh sources.
+  /// The delta baseline resets: a restored process has fresh sources.
   /// Throws common::BinUnderrun on truncated payloads.
   void restore(common::BinReader& r);
 
  private:
-  [[nodiscard]] static std::uint64_t delta(std::uint64_t cur, std::uint64_t prev) noexcept {
-    return cur >= prev ? cur - prev : cur;
+  /// Add the growth of one cumulative source counter since the last call
+  /// (its full value when it moved backwards: a fresh source).
+  void absorb(std::uint64_t DegradedStats::* field, std::uint64_t cumulative) noexcept
+      TAMPER_REQUIRES(stats_mu_) {
+    const std::uint64_t prev = baseline_.*field;
+    degraded_.*field += cumulative >= prev ? cumulative - prev : cumulative;
+    baseline_.*field = cumulative;
   }
   const world::World& world_;
   core::SignatureClassifier classifier_;
@@ -290,18 +318,8 @@ class Pipeline {
   obs::EpochRing trends_;
   mutable common::Mutex stats_mu_;  ///< guards degraded accounting only
   DegradedStats degraded_ TAMPER_GUARDED_BY(stats_mu_);
-  net::PcapReader::Stats last_reader_ TAMPER_GUARDED_BY(stats_mu_);
-  capture::ConnectionSampler::Stats last_sampler_ TAMPER_GUARDED_BY(stats_mu_);
-  common::BoundedQueueStats last_queue_ TAMPER_GUARDED_BY(stats_mu_);
-  std::uint64_t last_sink_replay_failures_ TAMPER_GUARDED_BY(stats_mu_) = 0;
-  std::uint64_t last_spool_dropped_ TAMPER_GUARDED_BY(stats_mu_) = 0;
-  struct AdmissionBaseline {
-    std::uint64_t rate_limited = 0;
-    std::uint64_t sampled_down = 0;
-    std::uint64_t embryonic_shed = 0;
-    std::uint64_t rejected = 0;
-  };
-  AdmissionBaseline last_admission_ TAMPER_GUARDED_BY(stats_mu_);
+  /// Last cumulative value absorbed per source-fed counter (see absorb).
+  DegradedStats baseline_ TAMPER_GUARDED_BY(stats_mu_);
   std::atomic<bool> evidence_only_{false};
 };
 

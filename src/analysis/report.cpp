@@ -45,21 +45,8 @@ void write_radar_report(std::ostream& out, const Pipeline& pipeline,
   const DegradedStats degraded = pipeline.degraded();
   json.key("degraded_input");
   json.begin_object();
-  json.kv("empty_samples", degraded.empty_samples);
-  json.kv("ingest_errors", degraded.ingest_errors);
-  json.kv("malformed_packets", degraded.malformed_packets);
-  json.kv("overload_evicted_flows", degraded.overload_evicted);
-  json.kv("unparseable_frames", degraded.unparseable_frames);
-  json.kv("oversize_frames", degraded.oversize_frames);
-  json.kv("truncated_frames", degraded.truncated_frames);
-  json.kv("queue_shed_embryonic", degraded.queue_shed_embryonic);
-  json.kv("queue_shed_other", degraded.queue_shed_other);
-  json.kv("spool_replay_failures", degraded.spool_replay_failures);
-  json.kv("spool_dropped", degraded.spool_dropped);
-  json.kv("admission_rate_limited", degraded.admission_rate_limited);
-  json.kv("admission_sampled_down", degraded.admission_sampled_down);
-  json.kv("admission_embryonic_shed", degraded.admission_embryonic_shed);
-  json.kv("admission_rejected", degraded.admission_rejected);
+  for (const DegradedField& f : kDegradedFields)
+    json.kv(f.json_key.empty() ? f.label : f.json_key, degraded.*f.member);
   json.kv("total", degraded.total());
   json.end_object();
 

@@ -1,5 +1,5 @@
 // Strong ID types for the identifiers the pipeline keys everything on:
-// countries, ASNs, domains, flows, PoPs, shards, and epochs.
+// countries, ASNs, domains, flows, PoPs, and epochs.
 //
 // The fleet work mixes these raw ints and strings across module
 // boundaries, where a swapped (pop, epoch) argument pair silently
@@ -81,7 +81,6 @@ struct AsnTag     { static constexpr const char* kName = "asn"; };
 struct DomainTag  { static constexpr const char* kName = "domain"; };
 struct FlowTag    { static constexpr const char* kName = "flow"; };
 struct PopTag     { static constexpr const char* kName = "pop"; };
-struct ShardTag   { static constexpr const char* kName = "shard"; };
 struct EpochTag   { static constexpr const char* kName = "epoch"; };
 
 using CountryId = TaggedId<CountryTag, std::uint32_t>;  ///< dense index into a country inventory
@@ -89,7 +88,6 @@ using AsnId = TaggedId<AsnTag, std::uint32_t>;          ///< the AS number itsel
 using DomainId = TaggedId<DomainTag, std::uint32_t>;    ///< dense index into a domain inventory
 using FlowId = TaggedId<FlowTag, std::uint64_t>;        ///< flow pair-hash (aggregates.h OverlapMatrix)
 using PopId = TaggedId<PopTag, std::uint32_t>;          ///< fleet point-of-presence ordinal
-using ShardId = TaggedId<ShardTag, std::uint32_t>;      ///< intra-PoP worker shard ordinal
 using EpochId = TaggedId<EpochTag, std::uint64_t>;      ///< capture-time epoch ordinal
 
 /// "pop:3", "epoch:17", ... — the one rendering used everywhere a strong ID

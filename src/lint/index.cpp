@@ -53,109 +53,6 @@ void extract_includes(const std::vector<std::string>& strings_lines, FileIndex& 
   }
 }
 
-void extract_enums(std::string_view stripped, FileIndex& out) {
-  std::size_t pos = 0, p = 0;
-  while ((p = find_word(stripped, "enum", pos)) != std::string_view::npos) {
-    pos = p + 4;
-    std::size_t q = skip_spaces(stripped, p + 4);
-    for (const std::string_view kw : {"class", "struct"}) {
-      if (stripped.compare(q, kw.size(), kw) == 0 && q + kw.size() < stripped.size() &&
-          !ident_char(stripped[q + kw.size()]))
-        q = skip_spaces(stripped, q + kw.size());
-    }
-    const std::string name = read_ident(stripped, q);
-    if (name.empty()) continue;  // anonymous enum: nothing to switch over by name
-    q = skip_spaces(stripped, q + name.size());
-    if (q < stripped.size() && stripped[q] == ':') {
-      // underlying type; scan forward to the body (or a fwd-decl `;`)
-      while (q < stripped.size() && stripped[q] != '{' && stripped[q] != ';') ++q;
-    }
-    if (q >= stripped.size() || stripped[q] != '{') continue;  // forward declaration
-    const std::size_t end = match(stripped, q, '{', '}');
-    if (end == std::string_view::npos) continue;
-    EnumDef def;
-    def.name = name;
-    def.line = static_cast<int>(line_of(stripped, p) + 1);
-    // Split the body on top-level commas; each part's leading identifier is
-    // the enumerator (initializers like `= 1 << 2` follow it).
-    std::string_view body = stripped.substr(q + 1, end - q - 2);
-    int depth = 0;
-    std::size_t start = 0;
-    for (std::size_t i = 0; i <= body.size(); ++i) {
-      const char c = i < body.size() ? body[i] : ',';
-      if (c == '(' || c == '{') ++depth;
-      else if (c == ')' || c == '}') --depth;
-      else if (c == ',' && depth == 0) {
-        const std::string part = trimmed(body.substr(start, i - start));
-        start = i + 1;
-        if (part.empty()) continue;
-        const std::string enumerator = read_ident(part, 0);
-        if (!enumerator.empty()) def.enumerators.push_back(enumerator);
-      }
-    }
-    out.enums.push_back(std::move(def));
-  }
-}
-
-void extract_switches(std::string_view stripped, FileIndex& out) {
-  std::size_t pos = 0, p = 0;
-  while ((p = find_word(stripped, "switch", pos)) != std::string_view::npos) {
-    pos = p + 6;
-    std::size_t q = skip_spaces(stripped, p + 6);
-    if (q >= stripped.size() || stripped[q] != '(') continue;
-    const std::size_t cond_end = match(stripped, q, '(', ')');
-    if (cond_end == std::string_view::npos) continue;
-    q = skip_spaces(stripped, cond_end);
-    if (q >= stripped.size() || stripped[q] != '{') continue;
-    const std::size_t end = match(stripped, q, '{', '}');
-    if (end == std::string_view::npos) continue;
-    const std::string_view body = stripped.substr(q + 1, end - q - 2);
-
-    SwitchSite site;
-    site.line = static_cast<int>(line_of(stripped, p) + 1);
-    std::size_t bp = 0, c = 0;
-    while ((c = find_word(body, "case", bp)) != std::string_view::npos) {
-      bp = c + 4;
-      // Label runs to the first `:` that is not part of a `::`.
-      std::size_t colon = c + 4;
-      while (colon < body.size()) {
-        if (body[colon] == ':' &&
-            (colon + 1 >= body.size() || body[colon + 1] != ':') &&
-            (colon == 0 || body[colon - 1] != ':'))
-          break;
-        ++colon;
-      }
-      if (colon >= body.size()) break;
-      const std::string label = trimmed(body.substr(c + 4, colon - c - 4));
-      if (label.empty()) continue;
-      CaseLabel parsed;
-      const std::size_t sep = label.rfind("::");
-      if (sep != std::string::npos) {
-        parsed.enumerator = label.substr(sep + 2);
-        const std::size_t prev = label.rfind("::", sep - 1);
-        parsed.enum_name =
-            prev == std::string::npos
-                ? trimmed(label.substr(0, sep))
-                : label.substr(prev + 2, sep - prev - 2);
-      } else {
-        parsed.enumerator = label;
-      }
-      if (!parsed.enumerator.empty() && ident_char(parsed.enumerator[0]))
-        site.labels.push_back(std::move(parsed));
-    }
-    std::size_t d = 0;
-    while ((d = find_word(body, "default", d)) != std::string_view::npos) {
-      const std::size_t after = skip_spaces(body, d + 7);
-      if (after < body.size() && body[after] == ':') {
-        site.has_default = true;
-        break;
-      }
-      d += 7;
-    }
-    out.switches.push_back(std::move(site));
-  }
-}
-
 /// Lexical scopes for lock tracking. Lambda bodies are separate functions
 /// whose execution is deferred, so locks held at the definition site are not
 /// ordered before locks the body takes: each lambda starts a fresh context.
@@ -485,14 +382,9 @@ FileIndex index_file(const std::string& path, std::string_view stripped_text,
   FileIndex out;
   out.path = path;
   extract_includes(internal::split_lines(strings_text), out);
-  extract_enums(stripped_text, out);
-  extract_switches(stripped_text, out);
   extract_lock_nestings(stripped_text, out);
   for (const auto& site : internal::metric_sites(stripped_text, strings_text))
     out.metrics.push_back({site.name, static_cast<int>(site.line0 + 1)});
-  for (auto& site : internal::series_sites(stripped_text, strings_text))
-    out.series.push_back({std::move(site.family), std::move(site.source),
-                          static_cast<int>(site.line0 + 1)});
   // Function signatures matter only where other modules can see them.
   const auto dot = path.rfind('.');
   const std::string ext = dot == std::string::npos ? "" : path.substr(dot);

@@ -1,9 +1,9 @@
 // Pass 1 of the two-pass analyzer: a per-file structural index (includes,
-// enum definitions, switch sites, lock-acquisition nestings, metric-family
-// registrations, exported function declarations, suppression directives)
-// that the cross-file rules R7–R13 evaluate over once every file has been
-// scanned. Per-file extraction is
-// pure and can run in parallel; merging is deterministic in path order.
+// lock-acquisition nestings, metric-family registrations, exported function
+// declarations, suppression directives) that the cross-file rules R7, R8,
+// R10 and R13 evaluate over once every file has been scanned. Per-file
+// extraction is pure and can run in parallel; merging is deterministic in
+// path order.
 #pragma once
 
 #include <cstddef>
@@ -21,25 +21,6 @@ struct Finding;
 struct IncludeSite {
   std::string target;  ///< verbatim include string, e.g. "common/rng.h"
   int line = 0;        ///< 1-based
-};
-
-/// `enum [class] Name ... { enumerators }`.
-struct EnumDef {
-  std::string name;
-  std::vector<std::string> enumerators;
-  int line = 0;
-};
-
-/// One `case Enum::kValue:` label inside a switch.
-struct CaseLabel {
-  std::string enum_name;   ///< qualifier right before the enumerator ("" if bare)
-  std::string enumerator;
-};
-
-struct SwitchSite {
-  std::vector<CaseLabel> labels;
-  bool has_default = false;
-  int line = 0;  ///< 1-based line of the `switch` keyword
 };
 
 /// `to` was constructed (MutexLock/UniqueLock) while `from` was still in
@@ -78,22 +59,11 @@ struct FunctionDecl {
   int line = 0;  ///< 1-based line of the function name
 };
 
-/// A `series_spec("family", "source", ...)` catalog entry (R12 checks the
-/// source against the registered metric families).
-struct SeriesRegistration {
-  std::string family;
-  std::string source;
-  int line = 0;  ///< 1-based
-};
-
 struct FileIndex {
   std::string path;
   std::vector<IncludeSite> includes;
-  std::vector<EnumDef> enums;
-  std::vector<SwitchSite> switches;
   std::vector<LockNesting> lock_nestings;
   std::vector<MetricRegistration> metrics;
-  std::vector<SeriesRegistration> series;
   std::vector<FunctionDecl> functions;  ///< headers only (see FunctionDecl)
   /// suppressed[line0] holds rule ids suppressed on that 0-based line
   /// (well-formed `tamperlint-allow` directives only).
@@ -115,10 +85,9 @@ struct RepoIndex {
   std::vector<std::string> doc_lines;
 };
 
-/// Pass 2: evaluate R7 (layering), R8 (lock order), R9 (taxonomy
-/// exhaustiveness), R10 (metric–doc drift), R11 (ladder exhaustiveness),
-/// R12 (series–metric linkage), and R13 (raw ID-taxonomy parameters in
-/// cross-module headers) over the merged index.
+/// Pass 2: evaluate R7 (layering), R8 (lock order), R10 (metric–doc
+/// drift), and R13 (raw ID-taxonomy parameters in cross-module headers)
+/// over the merged index.
 /// Findings honor per-line suppressions recorded in the index; the caller
 /// sorts and merges them with the per-file findings.
 [[nodiscard]] std::vector<Finding> repo_rule_findings(const RepoIndex& index,

@@ -2,9 +2,9 @@
 //
 // A deliberately small linter (no libclang) in two passes. Pass A runs
 // token/line-level rules over each file independently; pass B builds a
-// repo-wide structural index (include graph, enum definitions, switch
-// sites, lock-acquisition nestings, metric registrations) and evaluates
-// cross-file rules over it. Each rule encodes an invariant the paper's
+// repo-wide structural index (include graph, lock-acquisition nestings,
+// metric registrations, header declarations) and evaluates cross-file
+// rules over it. Each rule encodes an invariant the paper's
 // reproducibility or the service's robustness depends on, with a per-site
 // suppression syntax so exceptions are always visible and justified in the
 // diff:
@@ -41,31 +41,23 @@
 //   R8  lock order — the static acquisition graph of MutexLock/UniqueLock
 //       nestings must be cycle-free across the whole repo; a cycle is a
 //       potential deadlock TSan only reports when the interleaving fires.
-//   R9  taxonomy exhaustiveness — every switch over the signature/stage
-//       taxonomy enums (Config::taxonomy_enums) covers every enumerator;
-//       a silent default: swallowing a newly added signature corrupts the
-//       measurement, not just the code.
 //   R10 metric–doc drift — every metric family registered in src/ or
 //       tools/ appears in DESIGN.md's metric inventory table and vice
 //       versa, so the documented surface IS the exported surface.
-//   R11 ladder exhaustiveness — every switch over the overload-control
-//       enums (Config::control_enums, i.e. control::Level) covers every
-//       enumerator; a default: that silently maps an unhandled ladder
-//       level to "no policy change" would defeat the degradation
-//       contract exactly when a new level is added.
-//   R12 series–metric linkage — every timeseries catalog entry
-//       (`series_spec("family", "source", ...)` call site) names a source
-//       of the form "agg:<metric>" or "metric:<metric>" whose metric
-//       family is registered somewhere in the scanned prefixes; a dangling
-//       source is a series that samples a surface that does not exist.
 //   R13 strong ID parameters — a parameter in a src/ header whose name is
 //       one of the ID-taxonomy words (Config::id_taxonomy: pop, asn,
-//       country, epoch, flow, shard, domain, or their _id forms) must not
+//       country, epoch, flow, domain, or their _id forms) must not
 //       have a raw int/string type (Config::id_raw_types); the strong
 //       types in common/ids.h exist so a swapped (pop, epoch) argument
 //       pair is a compile error, not a silently corrupted merge. Wire
 //       codecs and other genuine raw-representation boundaries carry
 //       per-site suppressions.
+//
+// Retired ids, not reused: R9 and R11 (switch exhaustiveness over the
+// signature taxonomy and the overload ladder) are -Werror=switch and
+// -Werror=switch-enum in the root CMakeLists.txt, on in every build; R12
+// (trends series resolve to a metric) is the typed obs::SeriesSource
+// catalog, which Pipeline::sample_trends switches over exhaustively.
 //
 // Suppression:  // tamperlint-allow(R3): <non-empty reason>
 // on the offending line, or alone on the line directly above it. A
@@ -81,7 +73,7 @@
 namespace tamper::lint {
 
 struct Finding {
-  std::string rule;     ///< "R0".."R13"
+  std::string rule;     ///< "R0".."R13" (R9, R11, R12 retired)
   std::string path;     ///< as given (normalized to forward slashes)
   int line = 0;         ///< 1-based
   std::string message;
@@ -145,11 +137,6 @@ struct Config {
       {"bench", {"*"}},
       {"examples", {"*"}},
   };
-  /// R9: enum names whose switches must be exhaustive.
-  std::vector<std::string> taxonomy_enums = {"Signature", "Stage"};
-  /// R11: overload-control enum names whose switches must be exhaustive
-  /// (same machinery as R9, separate rule id so suppressions stay honest).
-  std::vector<std::string> control_enums = {"Level"};
   /// R10: path (suffix-matched within the linted file set) of the metric
   /// inventory doc, path prefixes whose registrations must be documented,
   /// and the family-name prefix the inventory covers.
@@ -161,7 +148,7 @@ struct Config {
   /// pipeline identifier and therefore demand the matching strong type
   /// from common/ids.h.
   std::vector<std::string> id_taxonomy = {"pop",  "asn",   "country", "epoch",
-                                          "flow", "shard", "domain"};
+                                          "flow", "domain"};
   /// R13: the raw core types (cv-qualifiers and &/* stripped) that fire
   /// when paired with an ID-taxonomy parameter name.
   std::vector<std::string> id_raw_types = {
@@ -190,7 +177,7 @@ struct SourceFile {
 
 /// Lint a whole file set: per-file rules on every C++ source (in parallel
 /// across `jobs` threads; 0 means hardware concurrency) plus the cross-file
-/// rules R7–R13 over the merged index. Output is deterministic — sorted by
+/// rules (R7, R8, R10, R13) over the merged index. Output is deterministic — sorted by
 /// (path, line, rule, message) and byte-identical for every thread count.
 /// Non-C++ entries (the metric-inventory doc) contribute only to R10.
 [[nodiscard]] std::vector<Finding> lint_repo(const std::vector<SourceFile>& files,

@@ -1,4 +1,5 @@
-// Pass 2: the cross-file rules R7–R13, evaluated over the merged RepoIndex.
+// Pass 2: the cross-file rules R7, R8, R10 and R13, evaluated over the
+// merged RepoIndex.
 // Everything here is deterministic by construction: files arrive sorted by
 // path, graph nodes are visited in sorted order, and every finding anchors
 // at the first (path, line) site that exhibits the problem.
@@ -124,15 +125,12 @@ using internal::trimmed;
 }
 
 [[nodiscard]] std::string join(const std::vector<std::string>& parts,
-                               std::string_view sep, std::size_t limit = 0) {
+                               std::string_view sep) {
   std::ostringstream out;
-  const std::size_t n =
-      limit != 0 && parts.size() > limit ? limit : parts.size();
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < parts.size(); ++i) {
     if (i != 0) out << sep;
     out << parts[i];
   }
-  if (n < parts.size()) out << sep << "… +" << parts.size() - n << " more";
   return out.str();
 }
 
@@ -266,72 +264,6 @@ void rule_lock_order(const RepoIndex& index, const Config& config,
   }
 }
 
-// ------------------------------------------------------------ R9 / R11
-
-/// Shared machinery for the switch-exhaustiveness rules: R9 guards the
-/// signature taxonomy enums, R11 guards the overload-control ladder.
-/// `enum_kind` names what a swallowed enumerator would be in the finding
-/// ("signature", "ladder level").
-void rule_enum_exhaustiveness(const RepoIndex& index,
-                              const std::vector<std::string>& enum_names,
-                              const std::string& rule_id,
-                              const std::string& enum_kind,
-                              std::vector<Finding>& out) {
-  // First definition (path-sorted) of each guarded enum wins.
-  std::map<std::string, const EnumDef*> defs;
-  for (const FileIndex& file : index.files)
-    for (const EnumDef& def : file.enums)
-      if (std::find(enum_names.begin(), enum_names.end(), def.name) !=
-          enum_names.end())
-        defs.emplace(def.name, &def);
-
-  for (const FileIndex& file : index.files) {
-    for (const SwitchSite& site : file.switches) {
-      // The switch targets the guarded enum its first qualified label names.
-      const EnumDef* def = nullptr;
-      for (const CaseLabel& label : site.labels) {
-        const auto it = defs.find(label.enum_name);
-        if (it != defs.end()) {
-          def = it->second;
-          break;
-        }
-      }
-      if (def == nullptr) continue;
-      std::set<std::string> covered;
-      for (const CaseLabel& label : site.labels)
-        if (label.enum_name == def->name) covered.insert(label.enumerator);
-      std::vector<std::string> missing;
-      for (const std::string& e : def->enumerators)
-        if (covered.count(e) == 0) missing.push_back(e);
-      if (missing.empty()) continue;
-      if (suppressed_at(file, site.line, rule_id)) continue;
-      out.push_back(
-          {rule_id, file.path, site.line,
-           "switch over " + def->name + " covers " +
-               std::to_string(covered.size()) + " of " +
-               std::to_string(def->enumerators.size()) + " enumerators (missing: " +
-               join(missing, ", ", 6) + ")" +
-               (site.has_default
-                    ? "; the default: label silently swallows them — a new " +
-                          enum_kind + " must not vanish into a bucket"
-                    : "") +
-               "; cover every case or suppress with a reason"});
-    }
-  }
-}
-
-void rule_taxonomy_exhaustiveness(const RepoIndex& index, const Config& config,
-                                  std::vector<Finding>& out) {
-  rule_enum_exhaustiveness(index, config.taxonomy_enums, "R9", "signature", out);
-}
-
-// ---------------------------------------------------------------- R11
-
-void rule_ladder_exhaustiveness(const RepoIndex& index, const Config& config,
-                                std::vector<Finding>& out) {
-  rule_enum_exhaustiveness(index, config.control_enums, "R11", "ladder level", out);
-}
-
 // ---------------------------------------------------------------- R10
 
 /// Expand one `{a,b,c}` group per recursion level: the doc inventory writes
@@ -423,56 +355,6 @@ void rule_metric_doc_drift(const RepoIndex& index, const Config& config,
   }
 }
 
-// ---------------------------------------------------------------- R12
-
-/// Every `series_spec("family", "source", ...)` catalog entry must reference
-/// a real metric family: the source is "agg:<metric>" or "metric:<metric>"
-/// and <metric> is registered somewhere in the scanned prefixes. A series
-/// whose source dangles would silently sample nothing (or claim a backing
-/// surface that does not exist), which is exactly the drift R10 guards the
-/// docs against — R12 extends the guarantee to the telemetry catalog.
-void rule_series_sources(const RepoIndex& index, const Config& config,
-                         std::vector<Finding>& out) {
-  std::set<std::string> registered;
-  for (const FileIndex& file : index.files) {
-    const bool in_scope = std::any_of(
-        config.metric_scan_prefixes.begin(), config.metric_scan_prefixes.end(),
-        [&](const std::string& prefix) { return file.path.rfind(prefix, 0) == 0; });
-    if (!in_scope) continue;
-    for (const MetricRegistration& reg : file.metrics) registered.insert(reg.name);
-  }
-
-  static constexpr std::string_view kPrefixes[] = {"agg:", "metric:"};
-  for (const FileIndex& file : index.files) {
-    for (const SeriesRegistration& s : file.series) {
-      if (suppressed_at(file, s.line, "R12")) continue;
-      std::string metric;
-      for (const std::string_view prefix : kPrefixes) {
-        if (s.source.rfind(prefix, 0) == 0) {
-          metric = s.source.substr(prefix.size());
-          break;
-        }
-      }
-      if (metric.empty()) {
-        out.push_back(
-            {"R12", file.path, s.line,
-             "series \"" + s.family + "\" has source \"" + s.source +
-                 "\" — a series source must be \"agg:<metric_family>\" or "
-                 "\"metric:<metric_family>\" so the backing surface is explicit"});
-        continue;
-      }
-      if (registered.count(metric) != 0) continue;
-      out.push_back(
-          {"R12", file.path, s.line,
-           "series \"" + s.family + "\" references metric family \"" + metric +
-               "\" which is never registered in " +
-               join(config.metric_scan_prefixes, ", ") +
-               "; a dangling source means the series samples a surface that "
-               "does not exist"});
-    }
-  }
-}
-
 /// R13 — raw ID-taxonomy parameters in cross-module interfaces. A header
 /// parameter named after one of the pipeline's identifier kinds (`pop`,
 /// `asn`, `epoch`, ...) but typed as a raw int or string is exactly the
@@ -549,10 +431,7 @@ std::vector<Finding> repo_rule_findings(const RepoIndex& index, const Config& co
   std::vector<Finding> out;
   if (rule_enabled(config, "R7")) rule_layering(index, config, out);
   if (rule_enabled(config, "R8")) rule_lock_order(index, config, out);
-  if (rule_enabled(config, "R9")) rule_taxonomy_exhaustiveness(index, config, out);
   if (rule_enabled(config, "R10")) rule_metric_doc_drift(index, config, out);
-  if (rule_enabled(config, "R11")) rule_ladder_exhaustiveness(index, config, out);
-  if (rule_enabled(config, "R12")) rule_series_sources(index, config, out);
   if (rule_enabled(config, "R13")) rule_raw_id_params(index, config, out);
   return out;
 }

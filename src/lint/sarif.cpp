@@ -36,14 +36,8 @@ constexpr RuleMeta kRules[] = {
      "Module includes follow the allowed-edge table; the include graph is acyclic"},
     {"R8", "LockOrder",
      "The static mutex acquisition-order graph is cycle-free (no potential deadlock)"},
-    {"R9", "TaxonomyExhaustiveness",
-     "Switches over the signature/stage taxonomy enums cover every enumerator"},
     {"R10", "MetricDocDrift",
      "Registered metric families and the DESIGN.md inventory agree exactly"},
-    {"R11", "LadderExhaustiveness",
-     "Switches over the overload-control ladder enums cover every enumerator"},
-    {"R12", "SeriesMetricLinkage",
-     "series_spec catalog sources resolve to a registered metric family"},
     {"R13", "StrongIdParameters",
      "ID-taxonomy parameter names in src/ headers use common/ids.h strong types"},
 };

@@ -181,43 +181,4 @@ std::vector<MetricSite> metric_sites(std::string_view stripped_text,
   return sites;
 }
 
-std::vector<SeriesSite> series_sites(std::string_view stripped_text,
-                                     std::string_view strings_text) {
-  static constexpr std::string_view kCall = "series_spec(";
-  std::vector<SeriesSite> sites;
-  std::size_t from = 0, p = 0;
-  while ((p = stripped_text.find(kCall, from)) != std::string_view::npos) {
-    from = p + 1;
-    // A free function (possibly namespace-qualified): the preceding char
-    // must not be an identifier char, so `my_series_spec(` never matches.
-    if (p > 0 && ident_char(stripped_text[p - 1])) continue;
-    // Read the two leading quoted literals (family, then source). The
-    // stripped form blanks literal contents but keeps the quotes, so the
-    // structure scan cannot be fooled by commas or parens inside them.
-    std::size_t q = p + kCall.size();
-    std::string literals[2];
-    bool ok = true;
-    for (std::string& out : literals) {
-      while (q < stripped_text.size() &&
-             (std::isspace(static_cast<unsigned char>(stripped_text[q])) != 0 ||
-              stripped_text[q] == ','))
-        ++q;
-      if (q >= stripped_text.size() || stripped_text[q] != '"') {
-        ok = false;  // a variable argument: nothing to check statically
-        break;
-      }
-      const std::size_t close = stripped_text.find('"', q + 1);
-      if (close == std::string_view::npos) {
-        ok = false;
-        break;
-      }
-      out = std::string(strings_text.substr(q + 1, close - q - 1));
-      q = close + 1;
-    }
-    if (!ok) continue;
-    sites.push_back({std::move(literals[0]), std::move(literals[1]), line_of(stripped_text, p)});
-  }
-  return sites;
-}
-
 }  // namespace tamper::lint::internal

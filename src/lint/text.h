@@ -53,17 +53,4 @@ struct MetricSite {
 [[nodiscard]] std::vector<MetricSite> metric_sites(std::string_view stripped_text,
                                                    std::string_view strings_text);
 
-/// A timeseries catalog entry: a call to the free function
-/// `series_spec("family", "source", ...)`. Only the two leading string
-/// literals are read; calls passing variables are skipped.
-struct SeriesSite {
-  std::string family;
-  std::string source;     ///< "agg:<metric>" / "metric:<metric>" by contract
-  std::size_t line0 = 0;  ///< 0-based line of the call
-};
-
-/// All series_spec call sites, in text order (tamperlint R12 input).
-[[nodiscard]] std::vector<SeriesSite> series_sites(std::string_view stripped_text,
-                                                   std::string_view strings_text);
-
 }  // namespace tamper::lint::internal

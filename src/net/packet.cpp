@@ -113,6 +113,8 @@ bool decode_options(std::span<const std::uint8_t> block, std::vector<TcpOption>&
         o.raw.assign(block.begin() + static_cast<std::ptrdiff_t>(i + 2),
                      block.begin() + static_cast<std::ptrdiff_t>(i + len));
         break;
+      case TcpOptionKind::kEnd:  // both consumed above, never reach here
+      case TcpOptionKind::kNop:
       default:
         // Unknown option: preserve raw bytes so round-trips don't lose data.
         o.kind = static_cast<TcpOptionKind>(kind);

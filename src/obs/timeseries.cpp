@@ -14,44 +14,30 @@ std::string_view name(SeriesMerge merge) noexcept {
   return "unknown";
 }
 
-SeriesSpec series_spec(const char* family, const char* source, SeriesMerge merge,
-                       bool watch, const char* label_key) {
-  SeriesSpec spec;
-  spec.family = family;
-  spec.source = source;
-  spec.merge = merge;
-  spec.watch = watch;
-  spec.label_key = label_key;
-  return spec;
-}
-
-// The sampling catalog. Every entry references the metric family backing
-// it (tamperlint R12 verifies the reference resolves): "agg:" families are
-// mirrored into the registry by Pipeline::sample_trends from the
-// classification aggregates — which are checkpoint-restored, so a resumed
-// PoP re-records identical points; "metric:" families are read from the
-// registry (absent families are skipped, so a run without overload control
-// simply has no overload series).
+// The sampling catalog. Aggregate sources are mirrored into the registry
+// by Pipeline::sample_trends from the classification aggregates — which
+// are checkpoint-restored, so a resumed PoP re-records identical points;
+// the overload sources are read from the registry (absent families are
+// skipped, so a run without overload control simply has no overload
+// series). Family strings and order are part of the ring's byte format.
 const std::vector<SeriesSpec>& default_series_catalog() {
   static const std::vector<SeriesSpec> kCatalog = {
-      series_spec("connections", "agg:tamper_class_connections_total",
-                  SeriesMerge::kSum, /*watch=*/true),
-      series_spec("possibly_tampered", "agg:tamper_class_possibly_tampered_total",
-                  SeriesMerge::kSum, /*watch=*/true),
-      series_spec("signature_matched", "agg:tamper_class_matched_total",
-                  SeriesMerge::kSum, /*watch=*/false),
-      series_spec("signature_matches", "agg:tamper_class_signature_matches_total",
-                  SeriesMerge::kSum, /*watch=*/true, "signature"),
-      series_spec("country_connections", "agg:tamper_class_country_connections_total",
-                  SeriesMerge::kSum, /*watch=*/false, "country"),
-      series_spec("country_matches", "agg:tamper_class_country_matches_total",
-                  SeriesMerge::kSum, /*watch=*/true, "country"),
-      series_spec("degraded", "agg:tamper_pipeline_degraded_total",
-                  SeriesMerge::kSum, /*watch=*/false),
-      series_spec("overload_level", "metric:tamper_overload_level",
-                  SeriesMerge::kMax, /*watch=*/false),
-      series_spec("overload_shed", "metric:tamper_overload_shed_total",
-                  SeriesMerge::kSum, /*watch=*/false),
+      {"connections", SeriesSource::kConnections, SeriesMerge::kSum, /*watch=*/true},
+      {"possibly_tampered", SeriesSource::kPossiblyTampered, SeriesMerge::kSum,
+       /*watch=*/true},
+      {"signature_matched", SeriesSource::kSignatureMatched, SeriesMerge::kSum,
+       /*watch=*/false},
+      {"signature_matches", SeriesSource::kSignatureMatches, SeriesMerge::kSum,
+       /*watch=*/true},
+      {"country_connections", SeriesSource::kCountryConnections, SeriesMerge::kSum,
+       /*watch=*/false},
+      {"country_matches", SeriesSource::kCountryMatches, SeriesMerge::kSum,
+       /*watch=*/true},
+      {"degraded", SeriesSource::kDegraded, SeriesMerge::kSum, /*watch=*/false},
+      {"overload_level", SeriesSource::kOverloadLevel, SeriesMerge::kMax,
+       /*watch=*/false},
+      {"overload_shed", SeriesSource::kOverloadShed, SeriesMerge::kSum,
+       /*watch=*/false},
   };
   return kCatalog;
 }

@@ -49,30 +49,29 @@ enum class SeriesMerge : std::uint8_t { kSum = 0, kMax = 1 };
 
 [[nodiscard]] std::string_view name(SeriesMerge merge) noexcept;
 
-/// One catalog entry: a series family, where its values come from, and how
-/// it federates. `source` is machine-checked by tamperlint R12:
-///   "agg:<metric_family>"    — sampled straight off a pipeline aggregate
-///                              whose registry mirror is <metric_family>
-///   "metric:<metric_family>" — read from the obs registry (label-summed
-///                              for counters, summed for gauges)
-/// Either way the named metric family must exist somewhere in src/ or
-/// tools/, so a series can never dangle from the documented surface.
-struct SeriesSpec {
-  std::string family;
-  std::string source;
-  SeriesMerge merge = SeriesMerge::kSum;
-  bool watch = false;      ///< anomaly watchdog scans this family
-  std::string label_key;   ///< "" for unlabeled series
+/// Where a catalog series takes its values. Pipeline::sample_trends
+/// switches over it with no default:, so -Werror=switch turns a new source
+/// without a sampler into a build error.
+enum class SeriesSource : std::uint8_t {
+  kConnections,         ///< aggregate (mirror: tamper_class_connections_total)
+  kPossiblyTampered,    ///< aggregate (mirror: tamper_class_possibly_tampered_total)
+  kSignatureMatched,    ///< aggregate (mirror: tamper_class_matched_total)
+  kSignatureMatches,    ///< aggregate, per signature (tamper_class_signature_matches_total)
+  kCountryConnections,  ///< aggregate, per country (tamper_class_country_connections_total)
+  kCountryMatches,      ///< aggregate, per country (tamper_class_country_matches_total)
+  kDegraded,            ///< DegradedStats::coverage_loss()
+  kOverloadLevel,       ///< registry read: tamper_overload_level
+  kOverloadShed,        ///< registry read: tamper_overload_shed_total
 };
 
-/// Catalog-entry constructor. Always register specs through this free
-/// function with literal family/source strings — tamperlint R12 reads the
-/// two literals at each call site and verifies the source references a
-/// registered metric family.
-[[nodiscard]] SeriesSpec series_spec(const char* family, const char* source,
-                                     SeriesMerge merge = SeriesMerge::kSum,
-                                     bool watch = false,
-                                     const char* label_key = "");
+/// One catalog entry: a series family, where its values come from, and how
+/// it federates.
+struct SeriesSpec {
+  std::string family;
+  SeriesSource source{};
+  SeriesMerge merge = SeriesMerge::kSum;
+  bool watch = false;  ///< anomaly watchdog scans this family
+};
 
 /// The default sampling catalog (see timeseries.cpp for the entries and
 /// DESIGN.md §12 for the rationale). Order is fixed; sampling iterates it

@@ -130,7 +130,12 @@ EndpointActions TcpEndpoint::client_on_packet(const Packet& pkt, common::SimTime
       case ClientKind::kVanishOnSynAck:
         vanished_ = true;
         return actions;
-      default:
+      case ClientKind::kNormal:
+      case ClientKind::kSynOnly:
+      case ClientKind::kVanishAfterAck:
+      case ClientKind::kVanishAfterRequest:
+      case ClientKind::kAbortMidTransfer:
+      case ClientKind::kRstAfterFin:
         break;
     }
     actions.packets.push_back(make_packet(kAck, snd_nxt_, rcv_nxt_));

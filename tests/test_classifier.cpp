@@ -402,6 +402,10 @@ struct SignatureCase {
   std::vector<ObservedPacket> packets;
 };
 
+// Without this gtest prints the case as raw bytes, heap pointers included,
+// and the ctest name of each case changes from run to run.
+void PrintTo(const SignatureCase& c, std::ostream* os) { *os << ascii_name(c.expected); }
+
 class AllSignatures : public ::testing::TestWithParam<SignatureCase> {};
 
 TEST_P(AllSignatures, RecognizedShuffled) {

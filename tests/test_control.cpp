@@ -317,6 +317,38 @@ TEST(OverloadController, MetricsMirrorStats) {
   c.set_obs(nullptr);
 }
 
+// The trends catalog reads the two overload families from the registry by
+// name — the one link between the catalog and the controller that the
+// typed SeriesSource cannot check.
+TEST(OverloadTrends, SampleTrendsRecordsLevelAndShedSeries) {
+  obs::ManualClock clock;
+  auto cfg = base_config(clock);
+  cfg.escalate_after = 4;
+  obs::Registry registry;  // outlives both collectors
+  control::OverloadController controller(cfg);
+  controller.set_obs(&registry);
+  analysis::Pipeline pipeline(shared_world());
+  pipeline.set_obs(&registry);
+
+  escalate(controller, cfg, 1);
+  for (int i = 0; i < 16; ++i) (void)controller.admit(false, 1);  // 12 sampled down
+  registry.refresh();
+  pipeline.sample_trends();
+
+  const auto& series = pipeline.trends().series();
+  const auto level = series.find(obs::SeriesKey{"overload_level", ""});
+  ASSERT_NE(level, series.end());
+  EXPECT_EQ(level->second.merge, obs::SeriesMerge::kMax);
+  ASSERT_EQ(level->second.points.size(), 1u);
+  EXPECT_EQ(level->second.points.begin()->second, 1.0);
+  const auto shed = series.find(obs::SeriesKey{"overload_shed", ""});
+  ASSERT_NE(shed, series.end());
+  EXPECT_EQ(shed->second.merge, obs::SeriesMerge::kSum);
+  ASSERT_EQ(shed->second.points.size(), 1u);
+  EXPECT_EQ(shed->second.points.begin()->second, 12.0);
+  controller.set_obs(nullptr);
+}
+
 // ------------------------------------------------------ generator units --
 
 TEST(OverloadGenerator, SameSeedSameConfigIsByteIdentical) {

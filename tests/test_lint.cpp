@@ -208,6 +208,14 @@ TEST(LintR0, MalformedDirectivesAreFindingsAndSuppressNothing) {
       << "a reasonless directive must not suppress";
 }
 
+TEST(LintR0, RetiredRuleIdsSuppressNothing) {
+  // R9, R11 and R12 were retired; their ids are not reused, so an old
+  // directive naming one is reported instead of silently accepted.
+  const auto findings = lint_source(
+      "src/core/use.cpp", "int x = 0;  // tamperlint-allow(R9): retired rule\n", {});
+  EXPECT_EQ(count_rule(findings, "R0"), 1) << tamper::lint::format_text(findings);
+}
+
 TEST(LintConfig, RuleFilterRestrictsOutput) {
   Config only_r5;
   only_r5.rules = {"R5"};
@@ -287,30 +295,6 @@ TEST(LintR8, QuietOnConsistentOrder) {
   EXPECT_TRUE(findings.empty()) << tamper::lint::format_text(findings);
 }
 
-// ---------------------------------------------------------------- R9
-
-TEST(LintR9, FiresOnMissingEnumeratorWithDefault) {
-  const auto findings = lint_repo(load_repo("r9_fire"), {});
-  EXPECT_EQ(count_rule(findings, "R9"), 1) << tamper::lint::format_text(findings);
-  ASSERT_FALSE(findings.empty());
-  EXPECT_EQ(findings[0].path, "src/core/use.cpp");
-  EXPECT_NE(findings[0].message.find("missing: kDataRst"), std::string::npos)
-      << findings[0].message;
-  EXPECT_NE(findings[0].message.find("default:"), std::string::npos)
-      << "the silent default must be called out: " << findings[0].message;
-}
-
-TEST(LintR9, SuppressionAboveTheSwitchSilencesIt) {
-  const auto findings = lint_repo(load_repo("r9_suppressed"), {});
-  EXPECT_EQ(count_rule(findings, "R9"), 0) << tamper::lint::format_text(findings);
-  EXPECT_EQ(count_rule(findings, "R0"), 0);
-}
-
-TEST(LintR9, QuietOnExhaustiveSwitch) {
-  const auto findings = lint_repo(load_repo("r9_clean"), {});
-  EXPECT_TRUE(findings.empty()) << tamper::lint::format_text(findings);
-}
-
 // ---------------------------------------------------------------- R10
 
 TEST(LintR10, FiresInBothDirections) {
@@ -339,61 +323,6 @@ TEST(LintR10, SuppressionAtTheRegistrationSilencesIt) {
 
 TEST(LintR10, BraceExpandedInventoryRowsMatch) {
   const auto findings = lint_repo(load_repo("r10_clean"), {});
-  EXPECT_TRUE(findings.empty()) << tamper::lint::format_text(findings);
-}
-
-// ---------------------------------------------------------------- R11
-
-TEST(LintR11, FiresOnMissingLadderRungWithDefault) {
-  const auto findings = lint_repo(load_repo("r11_fire"), {});
-  EXPECT_EQ(count_rule(findings, "R11"), 1) << tamper::lint::format_text(findings);
-  ASSERT_FALSE(findings.empty());
-  EXPECT_EQ(findings[0].path, "src/control/use.cpp");
-  EXPECT_NE(findings[0].message.find("missing: kShedding"), std::string::npos)
-      << findings[0].message;
-  EXPECT_NE(findings[0].message.find("ladder level"), std::string::npos)
-      << "the swallowed rung must be named a ladder level: " << findings[0].message;
-}
-
-TEST(LintR11, SuppressionAboveTheSwitchSilencesIt) {
-  const auto findings = lint_repo(load_repo("r11_suppressed"), {});
-  EXPECT_EQ(count_rule(findings, "R11"), 0) << tamper::lint::format_text(findings);
-  EXPECT_EQ(count_rule(findings, "R0"), 0);
-}
-
-TEST(LintR11, QuietOnExhaustiveSwitch) {
-  const auto findings = lint_repo(load_repo("r11_clean"), {});
-  EXPECT_TRUE(findings.empty()) << tamper::lint::format_text(findings);
-}
-
-// ---------------------------------------------------------------- R12
-
-TEST(LintR12, FiresOnDanglingAndPrefixlessSources) {
-  const auto findings = lint_repo(load_repo("r12_fire"), {});
-  EXPECT_EQ(count_rule(findings, "R12"), 2) << tamper::lint::format_text(findings);
-  bool dangling = false, prefixless = false;
-  for (const auto& f : findings) {
-    if (f.rule != "R12") continue;
-    EXPECT_EQ(f.path, "src/obs/catalog.cpp");
-    if (f.message.find("tamper_missing_total") != std::string::npos) dangling = true;
-    if (f.message.find("\"prefixless\"") != std::string::npos) {
-      prefixless = true;
-      EXPECT_NE(f.message.find("agg:<metric_family>"), std::string::npos)
-          << "the fix must be spelled out: " << f.message;
-    }
-  }
-  EXPECT_TRUE(dangling);
-  EXPECT_TRUE(prefixless);
-}
-
-TEST(LintR12, SuppressionAboveTheEntrySilencesIt) {
-  const auto findings = lint_repo(load_repo("r12_suppressed"), {});
-  EXPECT_EQ(count_rule(findings, "R12"), 0) << tamper::lint::format_text(findings);
-  EXPECT_EQ(count_rule(findings, "R0"), 0);
-}
-
-TEST(LintR12, QuietWhenEverySourceResolves) {
-  const auto findings = lint_repo(load_repo("r12_clean"), {});
   EXPECT_TRUE(findings.empty()) << tamper::lint::format_text(findings);
 }
 
@@ -444,15 +373,13 @@ TEST(LintR13, ScopedToSrcHeadersAndFiresExactlyOnce) {
 
 TEST(LintSeeded, ExactlyOneFindingPerCrossFileRule) {
   const auto findings = lint_repo(load_repo("repo_seeded"), {});
-  EXPECT_EQ(findings.size(), 4u) << tamper::lint::format_text(findings);
+  EXPECT_EQ(findings.size(), 3u) << tamper::lint::format_text(findings);
   EXPECT_EQ(count_rule(findings, "R7"), 1);
   EXPECT_EQ(count_rule(findings, "R8"), 1);
-  EXPECT_EQ(count_rule(findings, "R9"), 1);
   EXPECT_EQ(count_rule(findings, "R10"), 1);
   const std::map<std::string, std::string> expected_path = {
       {"R7", "src/world/a.h"},
       {"R8", "src/service/spool.cpp"},
-      {"R9", "src/core/classify.cpp"},
       {"R10", "src/obs/export.cpp"},
   };
   for (const auto& f : findings)
@@ -615,7 +542,7 @@ struct JsonParser {
 
 TEST(LintSarif, ValidatesAgainstThe210Shape) {
   const auto findings = lint_repo(load_repo("repo_seeded"), {});
-  ASSERT_EQ(findings.size(), 4u);
+  ASSERT_EQ(findings.size(), 3u);
   const std::string sarif = tamper::lint::format_sarif(findings);
 
   JsonParser parser{sarif};
@@ -642,7 +569,7 @@ TEST(LintSarif, ValidatesAgainstThe210Shape) {
   EXPECT_EQ(driver->get("name")->str, "tamperlint");
   const JsonValue* rules = driver->get("rules");
   ASSERT_NE(rules, nullptr);
-  EXPECT_EQ(rules->array.size(), 14u);  // R0..R13
+  EXPECT_EQ(rules->array.size(), 11u);  // R0..R13 less the retired R9, R11, R12
   for (const JsonValue& rule : rules->array) {
     ASSERT_NE(rule.get("id"), nullptr);
     ASSERT_NE(rule.get("shortDescription"), nullptr);
@@ -692,13 +619,13 @@ TEST(LintSarif, FingerprintsAreStableAcrossRuns) {
 
 TEST(LintBaseline, RoundTripsAndDropsMatchedFindings) {
   auto findings = lint_repo(load_repo("repo_seeded"), {});
-  ASSERT_EQ(findings.size(), 4u);
+  ASSERT_EQ(findings.size(), 3u);
   const std::string serialized = tamper::lint::format_baseline(findings);
 
   std::vector<std::string> errors;
   const auto parsed = tamper::lint::parse_baseline(serialized, errors);
   EXPECT_TRUE(errors.empty());
-  EXPECT_EQ(parsed.size(), 4u);
+  EXPECT_EQ(parsed.size(), 3u);
 
   const auto stale = tamper::lint::apply_baseline(findings, parsed);
   EXPECT_TRUE(findings.empty()) << tamper::lint::format_text(findings);
@@ -707,17 +634,17 @@ TEST(LintBaseline, RoundTripsAndDropsMatchedFindings) {
 
 TEST(LintBaseline, MatchesWithoutLineNumbersAndReportsStaleEntries) {
   auto findings = lint_repo(load_repo("repo_seeded"), {});
-  ASSERT_EQ(findings.size(), 4u);
+  ASSERT_EQ(findings.size(), 3u);
   std::vector<tamper::lint::BaselineEntry> baseline;
-  // Accept only the R9 finding, plus one entry for a finding that no longer
+  // Accept only the R10 finding, plus one entry for a finding that no longer
   // exists (its message changed) — that entry must come back stale.
   for (const auto& f : findings)
-    if (f.rule == "R9") baseline.push_back({f.rule, f.path, f.message});
-  baseline.push_back({"R9", "src/core/classify.cpp", "an old message"});
+    if (f.rule == "R10") baseline.push_back({f.rule, f.path, f.message});
+  baseline.push_back({"R10", "src/obs/export.cpp", "an old message"});
 
   const auto stale = tamper::lint::apply_baseline(findings, baseline);
-  EXPECT_EQ(findings.size(), 3u);
-  EXPECT_EQ(count_rule(findings, "R9"), 0);
+  EXPECT_EQ(findings.size(), 2u);
+  EXPECT_EQ(count_rule(findings, "R10"), 0);
   ASSERT_EQ(stale.size(), 1u);
   EXPECT_EQ(stale[0].message, "an old message");
 }
@@ -757,8 +684,10 @@ TEST(LintManifest, FormatSortsAndDeduplicates) {
 
 TEST(LintCatalog, ListsTheCrossFileRules) {
   const std::string catalog = tamper::lint::rule_catalog();
-  for (const char* id : {"R7", "R8", "R9", "R10", "R11", "R12", "R13"})
+  for (const char* id : {"R7", "R8", "R10", "R13"})
     EXPECT_NE(catalog.find(id), std::string::npos) << id;
+  for (const char* retired : {"R9 ", "R11", "R12"})
+    EXPECT_EQ(catalog.find(retired), std::string::npos) << retired;
 }
 
 }  // namespace

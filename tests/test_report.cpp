@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
 
 #include "analysis/injector.h"
 #include "analysis/report.h"
+#include "common/binio.h"
 #include "common/json.h"
+#include "obs/metrics.h"
 #include "world/traffic.h"
 
 namespace tamper {
@@ -236,6 +239,101 @@ TEST(InjectorDistance, OnSimulatedCensoredTraffic) {
   const double mean_position = positions / estimates;
   EXPECT_GT(mean_position, 0.3);  // mid-path, not at the server
   EXPECT_LT(mean_position, 1.1);
+}
+
+// ---- Degraded-input accounting, pinned byte for byte ----
+
+// A payload whose 15 DegradedStats counters hold 1 << i (field order as
+// serialized), followed by an empty pipeline's remaining state. Powers of
+// two make every subset sum unique, so total() and coverage_loss() pin
+// exactly which counters each one includes.
+std::vector<std::uint8_t> degraded_prefix(std::uint64_t scale) {
+  std::vector<std::uint8_t> bytes;
+  for (int i = 0; i < 15; ++i) {
+    const std::uint64_t v = (std::uint64_t{1} << i) * scale;
+    std::uint8_t raw[8];
+    std::memcpy(raw, &v, sizeof raw);
+    bytes.insert(bytes.end(), raw, raw + 8);
+  }
+  return bytes;
+}
+
+std::vector<std::uint8_t> snapshot_bytes(const analysis::Pipeline& pipeline) {
+  common::BinWriter w;
+  pipeline.snapshot(w);
+  return w.bytes();
+}
+
+TEST(DegradedPin, ReportMetricsTotalsSnapshotAndMergeAreExact) {
+  const world::World world;
+  std::vector<std::uint8_t> payload = snapshot_bytes(analysis::Pipeline(world));
+  const std::vector<std::uint8_t> prefix = degraded_prefix(1);
+  ASSERT_GE(payload.size(), prefix.size());
+  std::copy(prefix.begin(), prefix.end(), payload.begin());
+
+  obs::Registry registry;  // outlives the pipeline's collector
+  analysis::Pipeline pipeline(world);
+  pipeline.set_obs(&registry);
+  common::BinReader reader(payload);
+  pipeline.restore(reader);
+
+  std::ostringstream report;
+  analysis::ReportOptions options;
+  options.pretty = false;
+  analysis::write_radar_report(report, pipeline, options);
+  const std::string json = report.str();
+  const std::size_t begin = json.find("\"degraded_input\"");
+  ASSERT_NE(begin, std::string::npos);
+  EXPECT_EQ(json.substr(begin, json.find('}', begin) + 1 - begin),
+            
+            "\"degraded_input\":{\"empty_samples\":1,\"ingest_errors\":2,"
+            "\"malformed_packets\":4,\"overload_evicted_flows\":8,"
+            "\"unparseable_frames\":16,\"oversize_frames\":32,"
+            "\"truncated_frames\":64,\"queue_shed_embryonic\":128,"
+            "\"queue_shed_other\":256,\"spool_replay_failures\":512,"
+            "\"spool_dropped\":1024,\"admission_rate_limited\":2048,"
+            "\"admission_sampled_down\":4096,\"admission_embryonic_shed\":8192,"
+            "\"admission_rejected\":16384,\"total\":32767}");
+
+  std::istringstream prom(registry.prometheus_text());
+  std::string lines;
+  for (std::string line; std::getline(prom, line);)
+    if (line.rfind("tamper_pipeline_degraded_total{", 0) == 0) lines += line + "\n";
+  EXPECT_EQ(lines,
+            "tamper_pipeline_degraded_total{cause=\"admission_embryonic_shed\"} 8192\n"
+            "tamper_pipeline_degraded_total{cause=\"admission_rate_limited\"} 2048\n"
+            "tamper_pipeline_degraded_total{cause=\"admission_rejected\"} 16384\n"
+            "tamper_pipeline_degraded_total{cause=\"admission_sampled_down\"} 4096\n"
+            "tamper_pipeline_degraded_total{cause=\"empty_samples\"} 1\n"
+            "tamper_pipeline_degraded_total{cause=\"ingest_errors\"} 2\n"
+            "tamper_pipeline_degraded_total{cause=\"malformed_packets\"} 4\n"
+            "tamper_pipeline_degraded_total{cause=\"overload_evicted\"} 8\n"
+            "tamper_pipeline_degraded_total{cause=\"oversize_frames\"} 32\n"
+            "tamper_pipeline_degraded_total{cause=\"queue_shed_embryonic\"} 128\n"
+            "tamper_pipeline_degraded_total{cause=\"queue_shed_other\"} 256\n"
+            "tamper_pipeline_degraded_total{cause=\"spool_dropped\"} 1024\n"
+            "tamper_pipeline_degraded_total{cause=\"spool_replay_failures\"} 512\n"
+            "tamper_pipeline_degraded_total{cause=\"truncated_frames\"} 64\n"
+            "tamper_pipeline_degraded_total{cause=\"unparseable_frames\"} 16\n");
+
+  const analysis::DegradedStats d = pipeline.degraded();
+  EXPECT_EQ(d.total(), 32767u);
+  EXPECT_EQ(d.coverage_loss(), 31226u);  // all but empty, malformed, spool_*
+
+  const std::vector<std::uint8_t> again = snapshot_bytes(pipeline);
+  ASSERT_GE(again.size(), 120u);
+  EXPECT_EQ(std::vector<std::uint8_t>(again.begin(), again.begin() + 120), prefix);
+
+  // Merging a twin restored from the same payload doubles every counter
+  // (a twin, because merge_from(*this) would lock stats_mu_ twice).
+  analysis::Pipeline twin(world);
+  common::BinReader twin_reader(payload);
+  twin.restore(twin_reader);
+  pipeline.merge_from(twin);
+  const std::vector<std::uint8_t> merged = snapshot_bytes(pipeline);
+  EXPECT_EQ(std::vector<std::uint8_t>(merged.begin(), merged.begin() + 120),
+            degraded_prefix(2));
+  EXPECT_EQ(pipeline.degraded().total(), 2 * 32767u);
 }
 
 }  // namespace

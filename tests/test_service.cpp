@@ -423,13 +423,15 @@ TEST(ReportEmitter, UnreadableSpoolEntryIsCountedAndQuarantined) {
 
 TEST(PipelineStats, SinkReplayFailuresLandInDegradedStats) {
   analysis::Pipeline pipeline(shared_world());
-  pipeline.record_sink_stats(3);
+  pipeline.record_sink_stats(3, 7);
   EXPECT_EQ(pipeline.degraded().spool_replay_failures, 3u);
-  pipeline.record_sink_stats(3);  // same snapshot twice counts once
+  pipeline.record_sink_stats(3, 7);  // same snapshot twice counts once
   EXPECT_EQ(pipeline.degraded().spool_replay_failures, 3u);
-  pipeline.record_sink_stats(5);  // only the delta is added
+  EXPECT_EQ(pipeline.degraded().spool_dropped, 7u);
+  pipeline.record_sink_stats(5, 7);  // only the delta is added
   EXPECT_EQ(pipeline.degraded().spool_replay_failures, 5u);
-  EXPECT_GE(pipeline.degraded().total(), 5u);
+  EXPECT_EQ(pipeline.degraded().spool_dropped, 7u);
+  EXPECT_GE(pipeline.degraded().total(), 12u);
 
   std::ostringstream out;
   analysis::write_radar_report(out, pipeline);

@@ -24,9 +24,8 @@ namespace {
 constexpr const char* kUsage = R"(usage: tamperlint [options] [path...]
 
 Runs libtamper's contract lint over C++ sources: per-file rules R0-R6 plus
-the cross-file rules R7-R13 (layering, lock order, taxonomy exhaustiveness,
-metric-doc drift, ladder exhaustiveness, series-metric linkage, strong ID
-parameters). Paths may be files or directories (recursed; build*/,
+the cross-file rules R7, R8, R10 and R13 (layering, lock order, metric-doc
+drift, strong ID parameters). Paths may be files or directories (recursed; build*/,
 .git/, lint_fixtures/ skipped). With no paths and no manifest, lints
 src tools tests bench examples under --root.
 
