@@ -1,5 +1,7 @@
 #include "analysis/pipeline.h"
 
+#include "obs/families.h"
+
 namespace tamper::analysis {
 
 namespace {
@@ -43,15 +45,11 @@ void Pipeline::set_obs(obs::Registry* metrics, obs::Tracer* tracer,
   ts_series_g_ = ts_latest_epoch_g_ = nullptr;
   if (metrics == nullptr) return;
 
-  obs_samples_ = &metrics->counter("tamper_pipeline_samples_total",
-                                   "Samples presented to Pipeline::ingest");
+  obs_samples_ = &metrics->counter(obs::family("tamper_pipeline_samples_total"));
   obs_classify_seconds_ = &metrics->histogram(
-      "tamper_pipeline_classify_seconds",
-      "Classify+aggregate latency per sample, sampled 1 in 64",
-      obs::duration_buckets());
+      obs::family("tamper_pipeline_classify_seconds"));
   auto& degraded_family = metrics->counter_family(
-      "tamper_pipeline_degraded_total",
-      "Degraded-input events by cause (mirrors DegradedStats)", {"cause"});
+      obs::family("tamper_pipeline_degraded_total"));
   std::array<obs::Counter*, kDegradedFields.size()> mirrors{};
   for (std::size_t i = 0; i < kDegradedFields.size(); ++i)
     mirrors[i] = &degraded_family.with({std::string(kDegradedFields[i].label)});
@@ -64,32 +62,20 @@ void Pipeline::set_obs(obs::Registry* metrics, obs::Tracer* tracer,
   // Classification mirrors + trends bookkeeping. Registered here, written
   // only by sample_trends() on the worker thread — a collector would race
   // with the worker on the aggregates (they are worker-owned, unlocked).
-  class_connections_c_ = &metrics->counter(
-      "tamper_class_connections_total", "Connections classified (aggregate mirror)");
+  class_connections_c_ = &metrics->counter(obs::family("tamper_class_connections_total"));
   class_possibly_c_ = &metrics->counter(
-      "tamper_class_possibly_tampered_total",
-      "Possibly-tampered connections (aggregate mirror)");
-  class_matched_c_ = &metrics->counter(
-      "tamper_class_matched_total",
-      "Connections matching a tamper signature (aggregate mirror)");
+      obs::family("tamper_class_possibly_tampered_total"));
+  class_matched_c_ = &metrics->counter(obs::family("tamper_class_matched_total"));
   class_signature_fam_ = &metrics->counter_family(
-      "tamper_class_signature_matches_total",
-      "Signature matches by signature (aggregate mirror)", {"signature"});
+      obs::family("tamper_class_signature_matches_total"));
   class_country_conn_fam_ = &metrics->counter_family(
-      "tamper_class_country_connections_total",
-      "Connections by country (aggregate mirror)", {"country"});
+      obs::family("tamper_class_country_connections_total"));
   class_country_match_fam_ = &metrics->counter_family(
-      "tamper_class_country_matches_total",
-      "Signature matches by country (aggregate mirror)", {"country"});
-  ts_points_c_ = &metrics->counter("tamper_timeseries_points_total",
-                                   "Points offered to the trends epoch ring");
-  ts_dropped_c_ = &metrics->counter(
-      "tamper_timeseries_dropped_total",
-      "Points the trends ring refused (history window or series cap)");
-  ts_series_g_ = &metrics->gauge("tamper_timeseries_series",
-                                 "Distinct series held in the trends ring");
-  ts_latest_epoch_g_ = &metrics->gauge("tamper_timeseries_latest_epoch",
-                                       "Newest epoch with a recorded point");
+      obs::family("tamper_class_country_matches_total"));
+  ts_points_c_ = &metrics->counter(obs::family("tamper_timeseries_points_total"));
+  ts_dropped_c_ = &metrics->counter(obs::family("tamper_timeseries_dropped_total"));
+  ts_series_g_ = &metrics->gauge(obs::family("tamper_timeseries_series"));
+  ts_latest_epoch_g_ = &metrics->gauge(obs::family("tamper_timeseries_latest_epoch"));
 }
 
 void Pipeline::sample_trends() {
@@ -102,8 +88,7 @@ void Pipeline::sample_trends() {
   // across crash-resume re-derivation). One fused pass per aggregate — the
   // country loops walk matrix rows, mirror-handle maps, and the ring in
   // lockstep (all sorted by country), so each per-label sample costs
-  // amortized-constant lookups and rollup sampling honors the ≤2% overhead
-  // contract (DESIGN.md §12).
+  // amortized-constant lookups (rollup cost: DESIGN.md §12).
   if (mirror) {
     class_connections_c_->increment_to(matrix_.total_connections());
     class_possibly_c_->increment_to(matrix_.possibly_tampered());
@@ -174,10 +159,10 @@ void Pipeline::sample_trends() {
         record(static_cast<double>(d.coverage_loss()));
         break;
       case obs::SeriesSource::kOverloadLevel:
-        record_metric("tamper_overload_level");
+        record_metric(obs::family("tamper_overload_level").name);
         break;
       case obs::SeriesSource::kOverloadShed:
-        record_metric("tamper_overload_shed_total");
+        record_metric(obs::family("tamper_overload_shed_total").name);
         break;
     }
   }

@@ -305,8 +305,8 @@ class Pipeline {
   obs::CounterFamily* class_country_conn_fam_ = nullptr;
   obs::CounterFamily* class_country_match_fam_ = nullptr;
   // Cached per-label child handles: CounterFamily::with is a locked lookup,
-  // too heavy to repeat for every label on every rollup (the ≤2% sampling
-  // overhead contract). Children are stable registry handles; the caches
+  // too heavy to repeat for every label on every rollup (rollup cost:
+  // DESIGN.md §12). Children are stable registry handles; the caches
   // only grow, and reset with the families on set_obs.
   std::array<obs::Counter*, core::kSignatureCount> class_signature_mirror_{};
   std::map<std::string, obs::Counter*> class_country_conn_mirror_;

@@ -1,5 +1,7 @@
 #include "control/overload.h"
 
+#include "obs/families.h"
+
 namespace tamper::control {
 
 const char* name(Level level) noexcept {
@@ -202,34 +204,23 @@ void OverloadController::set_obs(obs::Registry* metrics) {
   metrics_ = metrics;
   if (metrics == nullptr) return;
   obs::Registry& m = *metrics;
-  obs::Gauge* level_g =
-      &m.gauge("tamper_overload_level",
-               "Current degradation-ladder level (0=normal .. 4=shedding)");
-  obs::Gauge* peak_g = &m.gauge("tamper_overload_peak_level",
-                                "Highest ladder level reached this run");
-  obs::Counter* offered = &m.counter("tamper_overload_offered_total",
-                                     "Samples presented to admission control");
-  obs::Counter* admitted = &m.counter("tamper_overload_admitted_total",
-                                      "Samples admitted past the controller");
-  auto& shed_family = m.counter_family("tamper_overload_shed_total",
-                                       "Samples refused at admission, by reason",
-                                       {"reason"});
+  obs::Gauge* level_g = &m.gauge(obs::family("tamper_overload_level"));
+  obs::Gauge* peak_g = &m.gauge(obs::family("tamper_overload_peak_level"));
+  obs::Counter* offered = &m.counter(obs::family("tamper_overload_offered_total"));
+  obs::Counter* admitted = &m.counter(obs::family("tamper_overload_admitted_total"));
+  auto& shed_family = m.counter_family(obs::family("tamper_overload_shed_total"));
   obs::Counter* shed_rate = &shed_family.with({"rate_limited"});
   obs::Counter* shed_stride = &shed_family.with({"sampled_down"});
   obs::Counter* shed_embryonic = &shed_family.with({"embryonic"});
   obs::Counter* shed_rejected = &shed_family.with({"rejected"});
   auto& transitions_family = m.counter_family(
-      "tamper_overload_transitions_total", "Ladder transitions, by direction",
-      {"direction"});
+      obs::family("tamper_overload_transitions_total"));
   obs::Counter* escalations = &transitions_family.with({"escalate"});
   obs::Counter* deescalations = &transitions_family.with({"deescalate"});
-  obs::Gauge* breaker_g = &m.gauge("tamper_overload_breaker_open",
-                                   "1 while the report circuit breaker is tripped");
-  obs::Counter* trips = &m.counter("tamper_overload_breaker_trips_total",
-                                   "Circuit breaker trips (incl. failed probes)");
+  obs::Gauge* breaker_g = &m.gauge(obs::family("tamper_overload_breaker_open"));
+  obs::Counter* trips = &m.counter(obs::family("tamper_overload_breaker_trips_total"));
   obs::Counter* skipped =
-      &m.counter("tamper_overload_reports_skipped_total",
-                 "Periodic report emissions skipped while the breaker was open");
+      &m.counter(obs::family("tamper_overload_reports_skipped_total"));
   collector_ = m.add_collector([=, this] {
     OverloadStats s;
     bool tripped = false;

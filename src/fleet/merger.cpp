@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "fleet/partial.h"
+#include "obs/families.h"
 #include "service/checkpoint.h"
 
 namespace tamper::fleet {
@@ -283,25 +284,18 @@ void Merger::set_obs(obs::Registry* metrics) {
   metrics_ = metrics;
   if (metrics == nullptr) return;
   obs::Registry& m = *metrics;
-  auto& partials_family = m.counter_family(
-      "tamper_fleet_partials_total",
-      "Partial aggregates by disposition at the merger", {"result"});
+  auto& partials_family = m.counter_family(obs::family("tamper_fleet_partials_total"));
   obs::Counter* received = &partials_family.with({"received"});
   obs::Counter* accepted = &partials_family.with({"accepted"});
   obs::Counter* duplicate = &partials_family.with({"duplicate"});
   obs::Counter* stale = &partials_family.with({"stale"});
   obs::Counter* late = &partials_family.with({"late"});
   obs::Counter* rejected = &partials_family.with({"rejected"});
-  obs::Counter* skew = &m.counter("tamper_fleet_skew_detected_total",
-                                  "Bounded-skew guard trips (PoP clock suspect)");
-  obs::Gauge* reporting =
-      &m.gauge("tamper_fleet_pops_reporting", "PoPs with any partial received");
-  obs::Gauge* expected = &m.gauge("tamper_fleet_pops_expected", "PoPs configured");
-  obs::Gauge* watermark =
-      &m.gauge("tamper_fleet_watermark_epoch", "Newest epoch considered closed");
-  obs::Gauge* shedding = &m.gauge(
-      "tamper_fleet_pops_shedding",
-      "PoPs whose newest partial reports overload-control admission sheds");
+  obs::Counter* skew = &m.counter(obs::family("tamper_fleet_skew_detected_total"));
+  obs::Gauge* reporting = &m.gauge(obs::family("tamper_fleet_pops_reporting"));
+  obs::Gauge* expected = &m.gauge(obs::family("tamper_fleet_pops_expected"));
+  obs::Gauge* watermark = &m.gauge(obs::family("tamper_fleet_watermark_epoch"));
+  obs::Gauge* shedding = &m.gauge(obs::family("tamper_fleet_pops_shedding"));
   collector_ = m.add_collector([=, this] {
     Stats s;
     std::size_t pop_count = 0;

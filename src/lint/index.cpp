@@ -383,8 +383,6 @@ FileIndex index_file(const std::string& path, std::string_view stripped_text,
   out.path = path;
   extract_includes(internal::split_lines(strings_text), out);
   extract_lock_nestings(stripped_text, out);
-  for (const auto& site : internal::metric_sites(stripped_text, strings_text))
-    out.metrics.push_back({site.name, static_cast<int>(site.line0 + 1)});
   // Function signatures matter only where other modules can see them.
   const auto dot = path.rfind('.');
   const std::string ext = dot == std::string::npos ? "" : path.substr(dot);

@@ -1,7 +1,7 @@
 // Pass 1 of the two-pass analyzer: a per-file structural index (includes,
-// lock-acquisition nestings, metric-family registrations, exported function
-// declarations, suppression directives) that the cross-file rules R7, R8,
-// R10 and R13 evaluate over once every file has been scanned. Per-file
+// lock-acquisition nestings, exported function declarations, suppression
+// directives) that the cross-file rules R7, R8 and R13 evaluate over once
+// every file has been scanned. Per-file
 // extraction is pure and can run in parallel; merging is deterministic in
 // path order.
 #pragma once
@@ -34,11 +34,6 @@ struct LockNesting {
   int line = 0;  ///< 1-based line of the inner acquisition
 };
 
-struct MetricRegistration {
-  std::string name;
-  int line = 0;  ///< 1-based
-};
-
 /// One parameter of an exported function declaration: the declared type
 /// text (whitespace-collapsed, default argument stripped) and the name.
 /// Unnamed parameters are recorded with an empty name.
@@ -63,7 +58,6 @@ struct FileIndex {
   std::string path;
   std::vector<IncludeSite> includes;
   std::vector<LockNesting> lock_nestings;
-  std::vector<MetricRegistration> metrics;
   std::vector<FunctionDecl> functions;  ///< headers only (see FunctionDecl)
   /// suppressed[line0] holds rule ids suppressed on that 0-based line
   /// (well-formed `tamperlint-allow` directives only).
@@ -77,17 +71,13 @@ struct FileIndex {
                                    std::string_view stripped_text,
                                    std::string_view strings_text);
 
-/// The merged repo index: per-file indices in ascending path order plus the
-/// (optional) metric-inventory doc.
+/// The merged repo index: per-file indices in ascending path order.
 struct RepoIndex {
   std::vector<FileIndex> files;  ///< sorted by path
-  std::string doc_path;          ///< "" when no doc was provided
-  std::vector<std::string> doc_lines;
 };
 
-/// Pass 2: evaluate R7 (layering), R8 (lock order), R10 (metric–doc
-/// drift), and R13 (raw ID-taxonomy parameters in cross-module headers)
-/// over the merged index.
+/// Pass 2: evaluate R7 (layering), R8 (lock order) and R13 (raw
+/// ID-taxonomy parameters in cross-module headers) over the merged index.
 /// Findings honor per-line suppressions recorded in the index; the caller
 /// sorts and merges them with the per-file findings.
 [[nodiscard]] std::vector<Finding> repo_rule_findings(const RepoIndex& index,

@@ -19,7 +19,6 @@ namespace {
 namespace fs = std::filesystem;
 
 using internal::find_word;
-using internal::ident_char;
 using internal::split_lines;
 using internal::strip_literals;
 using internal::trimmed;
@@ -52,9 +51,10 @@ constexpr std::string_view kNothrowMarker = "tamperlint: nothrow-path";
     if (id[i] < '0' || id[i] > '9') return false;
     n = n * 10 + (id[i] - '0');
   }
-  // R9, R11 and R12 were retired (the compiler and the typed trends
-  // catalog carry their guarantees); the remaining ids keep their numbers.
-  return n >= 1 && n <= 13 && n != 9 && n != 11 && n != 12;
+  // R6, R9, R10, R11 and R12 were retired (the compiler, the typed trends
+  // catalog and the metric-family catalog carry their guarantees); the
+  // remaining ids keep their numbers.
+  return n >= 1 && n <= 13 && n != 6 && n != 9 && n != 10 && n != 11 && n != 12;
 }
 
 /// Per-line suppression state parsed from the raw text.
@@ -220,119 +220,24 @@ struct FileLinter {
     }
   }
 
-  // R4 — checked narrowing in the wire-parsing layer.
-  void rule_checked_narrowing() const {
+  // R4 — no type punning in the wire-parsing layer. (C-style casts are
+  // -Werror=old-style-cast on tamper_net; no flag bans reinterpret_cast.)
+  void rule_type_punning() const {
     if (!path_contains(path, config.net_path)) return;
-    static constexpr std::string_view kNarrow[] = {
-        "std::uint8_t",  "std::uint16_t", "std::int8_t",  "std::int16_t",
-        "uint8_t",       "uint16_t",      "int8_t",       "int16_t",
-        "unsigned char", "signed char",   "unsigned short", "short", "char",
-    };
     for (std::size_t i = 0; i < stripped.size(); ++i) {
       const std::string& line = stripped[i];
-      for (std::size_t pos = 0; pos < line.size(); ++pos) {
-        if (line[pos] != '(') continue;
-        std::size_t p = pos + 1;
-        while (p < line.size() && line[p] == ' ') ++p;
-        for (const auto type : kNarrow) {
-          if (line.compare(p, type.size(), type) != 0) continue;
-          std::size_t q = p + type.size();
-          if (q < line.size() && ident_char(line[q])) break;  // longer identifier
-          while (q < line.size() && line[q] == ' ') ++q;
-          if (q >= line.size() || line[q] != ')') break;  // not `(type)`
-          ++q;
-          while (q < line.size() && line[q] == ' ') ++q;
-          if (q >= line.size()) break;
-          const char f = line[q];
-          const bool cast_like = ident_char(f) || f == '(' || f == '~' || f == '-';
-          // sizeof(T)/alignof(T) parenthesize a type, not a cast.
-          std::size_t w = pos;
-          while (w > 0 && line[w - 1] == ' ') --w;
-          std::size_t ws = w;
-          while (ws > 0 && ident_char(line[ws - 1])) --ws;
-          const std::string word_before = line.substr(ws, w - ws);
-          if (cast_like && word_before != "sizeof" && word_before != "alignof") {
-            report("R4", i,
-                   "C-style narrowing cast in net parser; use static_cast with "
-                   "explicit masking or a binio checked read");
-          }
-          break;
-        }
-      }
       const std::size_t rc = find_word(line, "reinterpret_cast");
-      if (rc != std::string_view::npos) {
-        const std::size_t args = line.find('<', rc);
-        const std::string target =
-            args == std::string::npos
-                ? ""
-                : trimmed(line.substr(args + 1, line.find('>', args) - args - 1));
-        if (target != "char*" && target != "const char*" && target != "char *" &&
-            target != "const char *") {
-          report("R4", i,
-                 "reinterpret_cast in net parser (only the char* stream-I/O "
-                 "bridge is sanctioned); parse through binio instead");
-        }
-      }
-    }
-  }
-
-  // R6 — metric hygiene: metric and label names snake_case; each family
-  // registered at most once per file (register once, share the handle).
-  // Structure (call tokens, quotes, parens) comes from the fully-stripped
-  // form; names are read out of the position-aligned strings-kept form.
-  void rule_metric_hygiene(std::string_view stripped_text,
-                           std::string_view strings_text) const {
-    const auto snake = [](std::string_view s) {
-      if (s.empty() || s[0] < 'a' || s[0] > 'z') return false;
-      return std::all_of(s.begin(), s.end(), [](char ch) {
-        return (ch >= 'a' && ch <= 'z') || (ch >= '0' && ch <= '9') || ch == '_';
-      });
-    };
-
-    std::vector<std::pair<std::string, std::size_t>> seen;  // name -> first line0
-    for (const internal::MetricSite& site : internal::metric_sites(stripped_text,
-                                                                   strings_text)) {
-      const std::size_t line0 = site.line0;
-      if (!snake(site.name))
-        report("R6", line0,
-               "metric name \"" + site.name +
-                   "\" is not snake_case ([a-z][a-z0-9_]*); Prometheus exposition "
-                   "and the JSON snapshot require stable lowercase names");
-      const auto prior = std::find_if(seen.begin(), seen.end(),
-                                      [&](const auto& e) { return e.first == site.name; });
-      if (prior == seen.end()) {
-        seen.emplace_back(site.name, line0);
-      } else if (prior->second != line0) {
-        report("R6", line0,
-               "metric family \"" + site.name + "\" registered more than once in this "
-                   "file (first at line " + std::to_string(prior->second + 1) +
-                   "); register once and share the handle");
-      }
-      if (!site.family) continue;
-      // Label keys are the string literals inside the call's brace list
-      // (histogram bounds are numeric braces and contribute none).
-      int paren = 1, brace = 0;
-      std::size_t q = site.name_end + 1;
-      while (q < stripped_text.size() && paren > 0) {
-        const char c = stripped_text[q];
-        if (c == '"') {
-          const std::size_t lit_close = stripped_text.find('"', q + 1);
-          if (lit_close == std::string_view::npos) break;
-          if (brace > 0) {
-            const std::string key(strings_text.substr(q + 1, lit_close - q - 1));
-            if (!snake(key))
-              report("R6", internal::line_of(stripped_text, q),
-                     "label key \"" + key +
-                         "\" is not snake_case ([a-z][a-z0-9_]*)");
-          }
-          q = lit_close + 1;
-          continue;
-        }
-        if (c == '(') ++paren;
-        else if (c == ')') --paren;
-        else if (c == '{') ++brace;
-        else if (c == '}') --brace;
-        ++q;
+      if (rc == std::string_view::npos) continue;
+      const std::size_t args = line.find('<', rc);
+      const std::string target =
+          args == std::string::npos
+              ? ""
+              : trimmed(line.substr(args + 1, line.find('>', args) - args - 1));
+      if (target != "char*" && target != "const char*" && target != "char *" &&
+          target != "const char *") {
+        report("R4", i,
+               "reinterpret_cast in net parser (only the char* stream-I/O "
+               "bridge is sanctioned); parse through binio instead");
       }
     }
   }
@@ -372,9 +277,8 @@ struct FileLinter {
   if (linter.rule_enabled("R1")) linter.rule_determinism();
   if (linter.rule_enabled("R2")) linter.rule_ordered_emission();
   if (linter.rule_enabled("R3")) linter.rule_nothrow_path();
-  if (linter.rule_enabled("R4")) linter.rule_checked_narrowing();
+  if (linter.rule_enabled("R4")) linter.rule_type_punning();
   if (linter.rule_enabled("R5")) linter.rule_header_hygiene(content);
-  if (linter.rule_enabled("R6")) linter.rule_metric_hygiene(stripped_text, strings_text);
 
   if (index != nullptr) {
     *index = index_file(path, stripped_text, strings_text);
@@ -426,7 +330,7 @@ std::vector<Finding> lint_repo(const std::vector<SourceFile>& files,
       if (i >= ordered.size()) return;
       std::string path = ordered[i]->path;
       std::replace(path.begin(), path.end(), '\\', '/');
-      if (!is_source_file_path(path)) continue;  // docs feed R10 only
+      if (!is_source_file_path(path)) continue;
       slots[i].findings = lint_one(path, ordered[i]->content, config, &slots[i].index);
       slots[i].indexed = true;
     }
@@ -447,13 +351,6 @@ std::vector<Finding> lint_repo(const std::vector<SourceFile>& files,
     findings.insert(findings.end(), std::make_move_iterator(slots[i].findings.begin()),
                     std::make_move_iterator(slots[i].findings.end()));
     if (slots[i].indexed) repo.files.push_back(std::move(slots[i].index));
-    std::string path = ordered[i]->path;
-    std::replace(path.begin(), path.end(), '\\', '/');
-    if (!config.metric_doc_path.empty() && repo.doc_path.empty() &&
-        (path == config.metric_doc_path || path.ends_with("/" + config.metric_doc_path))) {
-      repo.doc_path = path;
-      repo.doc_lines = split_lines(ordered[i]->content);
-    }
   }
   const std::vector<Finding> cross = repo_rule_findings(repo, config);
   findings.insert(findings.end(), cross.begin(), cross.end());
@@ -568,18 +465,14 @@ std::string rule_catalog() {
       "files\n"
       "R3  nothrow path     — no throw/.at()/std::sto* in `// tamperlint: "
       "nothrow-path` functions\n"
-      "R4  checked narrowing— no C-style narrowing casts or reinterpret_cast "
-      "in src/net/\n"
+      "R4  no type punning  — no reinterpret_cast in src/net/ beyond the "
+      "char* stream-I/O bridge\n"
       "R5  header hygiene   — #pragma once required; `using namespace` "
       "forbidden in headers\n"
-      "R6  metric hygiene   — metric/label names snake_case; each metric "
-      "family registered once per file\n"
       "R7  layering         — module includes follow the allowed-edge table; "
       "include graph acyclic\n"
       "R8  lock order       — the MutexLock/UniqueLock acquisition graph is "
       "cycle-free (no static deadlock)\n"
-      "R10 metric–doc drift — registered metric families and the DESIGN.md "
-      "inventory agree exactly\n"
       "R13 strong ID parameters — ID-taxonomy parameter names in src/ "
       "headers use common/ids.h types, never raw ints/strings\n";
 }

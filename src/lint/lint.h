@@ -3,11 +3,10 @@
 // A deliberately small linter (no libclang) in two passes. Pass A runs
 // token/line-level rules over each file independently; pass B builds a
 // repo-wide structural index (include graph, lock-acquisition nestings,
-// metric registrations, header declarations) and evaluates cross-file
-// rules over it. Each rule encodes an invariant the paper's
-// reproducibility or the service's robustness depends on, with a per-site
-// suppression syntax so exceptions are always visible and justified in the
-// diff:
+// header declarations) and evaluates cross-file rules over it. Each rule
+// encodes an invariant the paper's reproducibility or the service's
+// robustness depends on, with a per-site suppression syntax so exceptions
+// are always visible and justified in the diff:
 //
 //   R1  determinism  — no wall-clock or ambient randomness (time(),
 //       std::rand, random_device, chrono::system_clock) outside the
@@ -20,17 +19,12 @@
 //       must not contain throw statements or the classic throwing ops
 //       (.at(), std::sto*); the ingest contract is "count and drop",
 //       never propagate.
-//   R4  checked narrowing — src/net/ parsers must not use C-style
-//       narrowing casts or reinterpret_cast (except the char* stream-I/O
-//       bridge); narrowing goes through static_cast or binio helpers,
-//       where it is explicit and greppable.
+//   R4  no type punning — src/net/ parsers must not use reinterpret_cast
+//       (except the char* stream-I/O bridge); bytes are read through binio
+//       helpers. C-style casts there are -Werror=old-style-cast on
+//       tamper_net, so narrowing is a static_cast, explicit and greppable.
 //   R5  header hygiene — headers use #pragma once and never
 //       `using namespace`.
-//   R6  metric hygiene — metric and label names passed to the obs
-//       registry (counter/gauge/histogram and their _family forms) are
-//       snake_case, and each family is registered at most once per file;
-//       duplicated registration means two call sites disagree about help
-//       text or buckets sooner or later — register once, share the handle.
 //
 // Cross-file rules (need the whole file set, evaluated by lint_repo):
 //
@@ -41,9 +35,6 @@
 //   R8  lock order — the static acquisition graph of MutexLock/UniqueLock
 //       nestings must be cycle-free across the whole repo; a cycle is a
 //       potential deadlock TSan only reports when the interleaving fires.
-//   R10 metric–doc drift — every metric family registered in src/ or
-//       tools/ appears in DESIGN.md's metric inventory table and vice
-//       versa, so the documented surface IS the exported surface.
 //   R13 strong ID parameters — a parameter in a src/ header whose name is
 //       one of the ID-taxonomy words (Config::id_taxonomy: pop, asn,
 //       country, epoch, flow, domain, or their _id forms) must not
@@ -57,7 +48,10 @@
 // signature taxonomy and the overload ladder) are -Werror=switch and
 // -Werror=switch-enum in the root CMakeLists.txt, on in every build; R12
 // (trends series resolve to a metric) is the typed obs::SeriesSource
-// catalog, which Pipeline::sample_trends switches over exhaustively.
+// catalog, which Pipeline::sample_trends switches over exhaustively; R6
+// (metric names snake_case, registered once) and R10 (registered families
+// match a DESIGN.md inventory) are the obs/families.h catalog, whose
+// static_asserts and consteval obs::family() lookup the compiler checks.
 //
 // Suppression:  // tamperlint-allow(R3): <non-empty reason>
 // on the offending line, or alone on the line directly above it. A
@@ -73,7 +67,7 @@
 namespace tamper::lint {
 
 struct Finding {
-  std::string rule;     ///< "R0".."R13" (R9, R11, R12 retired)
+  std::string rule;     ///< "R0".."R13" (R6, R9, R10, R11, R12 retired)
   std::string path;     ///< as given (normalized to forward slashes)
   int line = 0;         ///< 1-based
   std::string message;
@@ -137,13 +131,6 @@ struct Config {
       {"bench", {"*"}},
       {"examples", {"*"}},
   };
-  /// R10: path (suffix-matched within the linted file set) of the metric
-  /// inventory doc, path prefixes whose registrations must be documented,
-  /// and the family-name prefix the inventory covers.
-  std::string metric_doc_path = "DESIGN.md";
-  std::vector<std::string> metric_scan_prefixes = {"src/", "tools/"};
-  std::string metric_prefix = "tamper_";
-
   /// R13: parameter names (exact word, or "<word>_id") that denote a
   /// pipeline identifier and therefore demand the matching strong type
   /// from common/ids.h.
@@ -169,7 +156,7 @@ struct SourceFile {
   std::string content;
 };
 
-/// Lint one in-memory source file (per-file rules R0–R6 only). `path`
+/// Lint one in-memory source file (per-file rules R0–R5 only). `path`
 /// decides which rules apply.
 [[nodiscard]] std::vector<Finding> lint_source(std::string path,
                                                std::string_view content,
@@ -177,9 +164,9 @@ struct SourceFile {
 
 /// Lint a whole file set: per-file rules on every C++ source (in parallel
 /// across `jobs` threads; 0 means hardware concurrency) plus the cross-file
-/// rules (R7, R8, R10, R13) over the merged index. Output is deterministic — sorted by
+/// rules (R7, R8, R13) over the merged index. Output is deterministic — sorted by
 /// (path, line, rule, message) and byte-identical for every thread count.
-/// Non-C++ entries (the metric-inventory doc) contribute only to R10.
+/// Non-C++ entries are ignored.
 [[nodiscard]] std::vector<Finding> lint_repo(const std::vector<SourceFile>& files,
                                              const Config& config, int jobs = 0);
 

@@ -1,5 +1,5 @@
-// Pass 2: the cross-file rules R7, R8, R10 and R13, evaluated over the
-// merged RepoIndex.
+// Pass 2: the cross-file rules R7, R8 and R13, evaluated over the merged
+// RepoIndex.
 // Everything here is deterministic by construction: files arrive sorted by
 // path, graph nodes are visited in sorted order, and every finding anchors
 // at the first (path, line) site that exhibits the problem.
@@ -11,13 +11,10 @@
 
 #include "lint/index.h"
 #include "lint/lint.h"
-#include "lint/text.h"
 
 namespace tamper::lint {
 
 namespace {
-
-using internal::trimmed;
 
 [[nodiscard]] bool rule_enabled(const Config& config, std::string_view id) {
   if (config.rules.empty()) return true;
@@ -264,97 +261,6 @@ void rule_lock_order(const RepoIndex& index, const Config& config,
   }
 }
 
-// ---------------------------------------------------------------- R10
-
-/// Expand one `{a,b,c}` group per recursion level: the doc inventory writes
-/// families like `tamper_queue_{pushed,popped}_total`.
-void expand_braces(const std::string& pattern, std::vector<std::string>& out) {
-  const std::size_t open = pattern.find('{');
-  if (open == std::string::npos) {
-    out.push_back(pattern);
-    return;
-  }
-  const std::size_t close = pattern.find('}', open);
-  if (close == std::string::npos) {
-    out.push_back(pattern);
-    return;
-  }
-  std::size_t start = open + 1;
-  const std::string head = pattern.substr(0, open);
-  const std::string tail = pattern.substr(close + 1);
-  while (start <= close) {
-    std::size_t comma = pattern.find(',', start);
-    if (comma == std::string::npos || comma > close) comma = close;
-    expand_braces(head + pattern.substr(start, comma - start) + tail, out);
-    start = comma + 1;
-  }
-}
-
-void rule_metric_doc_drift(const RepoIndex& index, const Config& config,
-                           std::vector<Finding>& out) {
-  if (index.doc_path.empty()) return;
-
-  struct Site {
-    std::string path;
-    int line;
-  };
-  std::map<std::string, Site> registered;
-  for (const FileIndex& file : index.files) {
-    const bool in_scope = std::any_of(
-        config.metric_scan_prefixes.begin(), config.metric_scan_prefixes.end(),
-        [&](const std::string& prefix) { return file.path.rfind(prefix, 0) == 0; });
-    if (!in_scope) continue;
-    for (const MetricRegistration& reg : file.metrics)
-      if (reg.name.rfind(config.metric_prefix, 0) == 0)
-        registered.emplace(reg.name, Site{file.path, reg.line});
-  }
-
-  // Documented names: backticked spans in the first cell of markdown table
-  // rows, brace-expanded.
-  std::map<std::string, int> documented;
-  for (std::size_t i = 0; i < index.doc_lines.size(); ++i) {
-    const std::string t = trimmed(index.doc_lines[i]);
-    if (t.size() < 2 || t[0] != '|') continue;
-    const std::size_t cell_end = t.find('|', 1);
-    if (cell_end == std::string::npos) continue;
-    const std::string cell = t.substr(1, cell_end - 1);
-    std::size_t p = 0;
-    while (true) {
-      const std::size_t tick = cell.find('`', p);
-      if (tick == std::string::npos) break;
-      const std::size_t close = cell.find('`', tick + 1);
-      if (close == std::string::npos) break;
-      std::vector<std::string> names;
-      expand_braces(cell.substr(tick + 1, close - tick - 1), names);
-      for (const std::string& name : names)
-        if (name.rfind(config.metric_prefix, 0) == 0)
-          documented.emplace(name, static_cast<int>(i + 1));
-      p = close + 1;
-    }
-  }
-
-  for (const auto& [name, site] : registered) {
-    if (documented.count(name) != 0) continue;
-    bool is_suppressed = false;
-    for (const FileIndex& file : index.files)
-      if (file.path == site.path)
-        is_suppressed = suppressed_at(file, site.line, "R10");
-    if (is_suppressed) continue;
-    out.push_back({"R10", site.path, site.line,
-                   "metric family \"" + name + "\" is registered here but missing "
-                       "from the metric inventory in " + index.doc_path +
-                       "; document it (or suppress with a reason)"});
-  }
-  for (const auto& [name, line] : documented) {
-    if (registered.count(name) != 0) continue;
-    out.push_back({"R10", index.doc_path, line,
-                   "metric family \"" + name + "\" is documented in the metric "
-                       "inventory but never registered in " +
-                       join(config.metric_scan_prefixes, ", ") +
-                       "; delete the row or restore the registration"});
-  }
-}
-
 /// R13 — raw ID-taxonomy parameters in cross-module interfaces. A header
 /// parameter named after one of the pipeline's identifier kinds (`pop`,
 /// `asn`, `epoch`, ...) but typed as a raw int or string is exactly the
@@ -431,7 +337,6 @@ std::vector<Finding> repo_rule_findings(const RepoIndex& index, const Config& co
   std::vector<Finding> out;
   if (rule_enabled(config, "R7")) rule_layering(index, config, out);
   if (rule_enabled(config, "R8")) rule_lock_order(index, config, out);
-  if (rule_enabled(config, "R10")) rule_metric_doc_drift(index, config, out);
   if (rule_enabled(config, "R13")) rule_raw_id_params(index, config, out);
   return out;
 }

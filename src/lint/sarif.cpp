@@ -26,18 +26,14 @@ constexpr RuleMeta kRules[] = {
      "No unordered containers in report/JSON emission files"},
     {"R3", "NothrowPath",
      "No throw/.at()/std::sto* inside `// tamperlint: nothrow-path` functions"},
-    {"R4", "CheckedNarrowing",
-     "No C-style narrowing casts or reinterpret_cast in src/net/"},
+    {"R4", "NoTypePunning",
+     "No reinterpret_cast in src/net/ beyond the char* stream-I/O bridge"},
     {"R5", "HeaderHygiene",
      "Headers use #pragma once and never `using namespace`"},
-    {"R6", "MetricHygiene",
-     "Metric/label names are snake_case; each family registered once per file"},
     {"R7", "Layering",
      "Module includes follow the allowed-edge table; the include graph is acyclic"},
     {"R8", "LockOrder",
      "The static mutex acquisition-order graph is cycle-free (no potential deadlock)"},
-    {"R10", "MetricDocDrift",
-     "Registered metric families and the DESIGN.md inventory agree exactly"},
     {"R13", "StrongIdParameters",
      "ID-taxonomy parameter names in src/ headers use common/ids.h strong types"},
 };

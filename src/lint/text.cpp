@@ -138,47 +138,4 @@ std::size_t line_of(std::string_view text, std::size_t pos) {
       std::count(text.begin(), text.begin() + static_cast<std::ptrdiff_t>(pos), '\n'));
 }
 
-std::vector<MetricSite> metric_sites(std::string_view stripped_text,
-                                     std::string_view strings_text) {
-  static constexpr std::string_view kCalls[] = {
-      "counter(",        "gauge(",        "histogram(",
-      "counter_family(", "gauge_family(", "histogram_family("};
-  struct Hit {
-    std::size_t pos;  ///< just past the call's `(` in the stripped text
-    bool family;
-  };
-  std::vector<Hit> hits;
-  for (const std::string_view token : kCalls) {
-    std::size_t from = 0, p = 0;
-    while ((p = stripped_text.find(token, from)) != std::string_view::npos) {
-      from = p + 1;
-      if (p == 0) continue;
-      const char before = stripped_text[p - 1];  // `.counter(` or `->counter(`
-      if (before != '.' && before != '>') continue;
-      hits.push_back({p + token.size(), token.find("_family") != std::string_view::npos});
-    }
-  }
-  std::sort(hits.begin(), hits.end(),
-            [](const Hit& a, const Hit& b) { return a.pos < b.pos; });
-
-  std::vector<MetricSite> sites;
-  for (const Hit& hit : hits) {
-    std::size_t p = hit.pos;
-    while (p < stripped_text.size() &&
-           std::isspace(static_cast<unsigned char>(stripped_text[p])) != 0)
-      ++p;
-    if (p >= stripped_text.size() || stripped_text[p] != '"') continue;
-    const std::size_t close = stripped_text.find('"', p + 1);
-    if (close == std::string_view::npos) continue;
-    MetricSite site;
-    site.name = std::string(strings_text.substr(p + 1, close - p - 1));
-    site.line0 = line_of(stripped_text, p);
-    site.name_pos = p + 1;
-    site.name_end = close;
-    site.family = hit.family;
-    sites.push_back(std::move(site));
-  }
-  return sites;
-}
-
 }  // namespace tamper::lint::internal

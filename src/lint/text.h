@@ -18,7 +18,7 @@ namespace tamper::lint::internal {
 /// the directive scanner runs on the comments-kept form, because directives
 /// live in comments but must not fire on string literals that merely mention
 /// the directive syntax. `keep_strings` preserves string-literal contents
-/// instead (metric-name rules read names out of them); all three forms are
+/// instead (the include extractor reads targets out of them); all three forms are
 /// position-aligned with the source, so structure found in one form can be
 /// read out of another.
 [[nodiscard]] std::string strip_literals(std::string_view src, bool keep_comments,
@@ -34,23 +34,5 @@ namespace tamper::lint::internal {
 
 /// 0-based line number of byte offset `pos` in `text`.
 [[nodiscard]] std::size_t line_of(std::string_view text, std::size_t pos);
-
-/// A metric-family registration site: a call like `reg.counter("name", ...)`
-/// or `metrics->histogram_family("name", help, {"label"}, ...)`. `pos` is
-/// the offset just past the opening quote of the name in the stripped text
-/// (positions are shared across the aligned forms).
-struct MetricSite {
-  std::string name;
-  std::size_t line0 = 0;  ///< 0-based line of the name literal
-  std::size_t name_pos = 0;
-  std::size_t name_end = 0;  ///< offset of the closing quote
-  bool family = false;
-};
-
-/// All registration sites, in text order. Structure is found in the
-/// fully-stripped form; names are read out of the aligned strings-kept form.
-/// Names passed as variables cannot be seen and are skipped.
-[[nodiscard]] std::vector<MetricSite> metric_sites(std::string_view stripped_text,
-                                                   std::string_view strings_text);
 
 }  // namespace tamper::lint::internal

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <map>
 
+#include "obs/families.h"
+
 namespace tamper::obs {
 
 namespace {
@@ -112,20 +114,13 @@ void AnomalyWatchdog::set_obs(Registry* metrics, Logger* logger) {
     exemplars_g_ = nullptr;
     return;
   }
-  events_c_ = &metrics->counter("tamper_anomaly_events_total",
-                                "Rate-shift anomaly events detected (high-water "
-                                "across rescans)");
-  scanned_c_ = &metrics->counter("tamper_anomaly_points_scanned_total",
-                                 "Per-epoch deltas evaluated by the watchdog "
-                                 "(high-water across rescans)");
+  events_c_ = &metrics->counter(obs::family("tamper_anomaly_events_total"));
+  scanned_c_ = &metrics->counter(obs::family("tamper_anomaly_points_scanned_total"));
   auto& suppressed = metrics->counter_family(
-      "tamper_anomaly_suppressed_total",
-      "Deltas the watchdog refused to score (high-water across rescans)",
-      {"reason"});
+      obs::family("tamper_anomaly_suppressed_total"));
   suppressed_degraded_c_ = &suppressed.with({"degraded"});
   suppressed_gap_c_ = &suppressed.with({"gap"});
-  exemplars_g_ = &metrics->gauge("tamper_anomaly_exemplars",
-                                 "Anomaly exemplars held in the bounded ring");
+  exemplars_g_ = &metrics->gauge(obs::family("tamper_anomaly_exemplars"));
 }
 
 const AnomalyScan& AnomalyWatchdog::rescan(const EpochRing& ring,

@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "common/json.h"
+#include "obs/families.h"
 
 namespace tamper::obs {
 
@@ -23,11 +24,6 @@ class JsonCursor {
 }  // namespace internal
 
 namespace {
-
-[[nodiscard]] bool lower_alpha(char c) noexcept { return c >= 'a' && c <= 'z'; }
-[[nodiscard]] bool snake_char(char c) noexcept {
-  return lower_alpha(c) || (c >= '0' && c <= '9') || c == '_';
-}
 
 /// Prometheus label-value escaping: backslash, double-quote, newline.
 void write_escaped_label(std::ostream& out, std::string_view v) {
@@ -83,11 +79,6 @@ void write_labels_json(common::JsonWriter& json, const std::vector<std::string>&
 }
 
 }  // namespace
-
-bool valid_metric_name(std::string_view name) noexcept {
-  if (name.empty() || !lower_alpha(name.front())) return false;
-  return std::all_of(name.begin(), name.end(), snake_char);
-}
 
 std::string format_metric_value(double v) {
   if (std::isnan(v)) return "NaN";
@@ -370,6 +361,36 @@ HistogramFamily& Registry::histogram_family(std::string_view name, std::string_v
                                             std::vector<double> bounds) {
   return static_cast<HistogramFamily&>(
       family(MetricKind::kHistogram, name, help, std::move(label_keys), std::move(bounds)));
+}
+
+namespace {
+
+void check_entry(const Family& entry, MetricKind kind, bool labeled) {
+  if (entry.kind != kind || entry.label.empty() == labeled)
+    throw std::logic_error("metric family " + std::string(entry.name) +
+                           " registered as the wrong kind or label arity");
+}
+
+}  // namespace
+
+Counter& Registry::counter(const Family& entry) {
+  check_entry(entry, MetricKind::kCounter, false);
+  return counter(entry.name, entry.help);
+}
+
+CounterFamily& Registry::counter_family(const Family& entry) {
+  check_entry(entry, MetricKind::kCounter, true);
+  return counter_family(entry.name, entry.help, {std::string(entry.label)});
+}
+
+Gauge& Registry::gauge(const Family& entry) {
+  check_entry(entry, MetricKind::kGauge, false);
+  return gauge(entry.name, entry.help);
+}
+
+Histogram& Registry::histogram(const Family& entry) {
+  check_entry(entry, MetricKind::kHistogram, false);
+  return histogram(entry.name, entry.help, duration_buckets());
 }
 
 Registry::CollectorId Registry::add_collector(std::function<void()> fn) {

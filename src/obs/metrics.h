@@ -18,8 +18,8 @@
 // Registration is get-or-create: asking for an existing family with the
 // same kind/help/labels returns it; a mismatch throws std::logic_error at
 // startup rather than silently forking a family. Metric and label names
-// must be snake_case ([a-z][a-z0-9_]*) — enforced here at runtime and by
-// tamperlint rule R6 statically.
+// must be snake_case ([a-z][a-z0-9_]*) — enforced here at runtime, and at
+// compile time for the tamper_* families of the obs/families.h catalog.
 //
 // Snapshots come in two formats from the same ordered walk:
 //   * write_json()        — "tamper-metrics/1" JSON document
@@ -47,7 +47,12 @@
 namespace tamper::obs {
 
 /// snake_case: [a-z][a-z0-9_]*. The rule for metric AND label names.
-[[nodiscard]] bool valid_metric_name(std::string_view name) noexcept;
+[[nodiscard]] constexpr bool valid_metric_name(std::string_view name) noexcept {
+  if (name.empty() || name.front() < 'a' || name.front() > 'z') return false;
+  for (const char c : name)
+    if (!((c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '_')) return false;
+  return true;
+}
 
 /// Deterministic decimal rendering shared by both emission formats:
 /// integral values print without a fraction, everything else as %.9g;
@@ -122,6 +127,8 @@ class Histogram {
 
 enum class MetricKind : std::uint8_t { kCounter, kGauge, kHistogram };
 [[nodiscard]] std::string_view name(MetricKind kind) noexcept;
+
+struct Family;  // a catalog entry, obs/families.h
 
 namespace internal {
 
@@ -228,6 +235,15 @@ class Registry {
   Gauge& gauge(std::string_view name, std::string_view help) TAMPER_EXCLUDES(mu_);
   Histogram& histogram(std::string_view name, std::string_view help,
                        std::vector<double> bounds) TAMPER_EXCLUDES(mu_);
+
+  // Catalog entries (obs/families.h): the same registrations, with name,
+  // help and label taken from the entry. Histograms use duration_buckets().
+  // Throws std::logic_error when the entry's kind or label arity does not
+  // fit the call.
+  Counter& counter(const Family& entry) TAMPER_EXCLUDES(mu_);
+  CounterFamily& counter_family(const Family& entry) TAMPER_EXCLUDES(mu_);
+  Gauge& gauge(const Family& entry) TAMPER_EXCLUDES(mu_);
+  Histogram& histogram(const Family& entry) TAMPER_EXCLUDES(mu_);
 
   // Labeled families.
   CounterFamily& counter_family(std::string_view name, std::string_view help,

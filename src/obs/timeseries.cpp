@@ -105,7 +105,7 @@ EpochRing::SeriesMap::iterator EpochRing::record_at(SeriesMap::iterator pos,
   // Trim only when the window can actually move (max_epoch_ advanced) or
   // the series cap was exceeded by this insert — a rollup records hundreds
   // of points into the same epoch, and a full-ring sweep per point would
-  // dominate the sampling cost (the ≤2% overhead contract, DESIGN.md §12).
+  // dominate the sampling cost (rollup cost: DESIGN.md §12).
   // trim() only ever erases series other than `pos` (pos just gained the
   // newest point, so it is neither emptied by the window cut nor the
   // cap-excess last key it was inserted in front of).

@@ -99,7 +99,7 @@ struct SeriesKey {
 /// Transparent comparator so record() can probe the series map with string
 /// views: family names exceed the small-string capacity, and a rollup
 /// records hundreds of points, so a per-record key allocation would
-/// dominate the sampling cost (the ≤2% overhead contract, DESIGN.md §12).
+/// dominate the sampling cost (rollup cost: DESIGN.md §12).
 struct SeriesKeyLess {
   using is_transparent = void;
   [[nodiscard]] static bool lt(std::string_view af, std::string_view al,
@@ -217,8 +217,8 @@ class EpochRing {
 /// Sorted-run recorder. The trends rollup records each labeled family as an
 /// ascending run of keys (label sources are sorted maps), so consecutive
 /// records land on adjacent series nodes; the cursor steps an iterator
-/// forward instead of paying a full tree descent per record (the ≤2%
-/// overhead contract, DESIGN.md §12). Purely a lookup strategy: the
+/// forward instead of paying a full tree descent per record (rollup cost:
+/// DESIGN.md §12). Purely a lookup strategy: the
 /// resulting ring state is byte-identical to plain record() calls, and
 /// out-of-order keys just fall back to a fresh lower_bound.
 class EpochRing::Cursor {

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "analysis/report.h"
+#include "obs/families.h"
 
 namespace tamper::service {
 
@@ -59,45 +60,27 @@ SupervisedService::~SupervisedService() {
 
 void SupervisedService::register_metrics() {
   obs::Registry& m = *metrics_;
-  ingested_c_ = &m.counter(
-      "tamper_ingest_samples_total",
-      "Samples ingested by the worker (includes checkpoint-restored samples)");
-  checkpoints_written_c_ =
-      &m.counter("tamper_checkpoint_writes_total", "Checkpoints written successfully");
-  checkpoint_failures_c_ = &m.counter(
-      "tamper_checkpoint_failures_total",
-      "Checkpoint writes that failed (fault hook or I/O error)");
-  reports_emitted_c_ =
-      &m.counter("tamper_reports_emitted_total", "Radar reports handed to the emitter");
-  worker_crashes_c_ = &m.counter("tamper_worker_crashes_total",
-                                 "Worker stage crashes caught by the supervisor");
-  worker_restarts_c_ = &m.counter("tamper_worker_restarts_total",
-                                  "Worker stage restarts (crash or stall recycle)");
-  stalls_detected_c_ =
-      &m.counter("tamper_worker_stalls_total", "Worker stalls detected by the watchdog");
-  checkpoint_save_seconds_ = &m.histogram(
-      "tamper_checkpoint_save_seconds", "Checkpoint save duration",
-      obs::duration_buckets());
+  ingested_c_ = &m.counter(obs::family("tamper_ingest_samples_total"));
+  checkpoints_written_c_ = &m.counter(obs::family("tamper_checkpoint_writes_total"));
+  checkpoint_failures_c_ = &m.counter(obs::family("tamper_checkpoint_failures_total"));
+  reports_emitted_c_ = &m.counter(obs::family("tamper_reports_emitted_total"));
+  worker_crashes_c_ = &m.counter(obs::family("tamper_worker_crashes_total"));
+  worker_restarts_c_ = &m.counter(obs::family("tamper_worker_restarts_total"));
+  stalls_detected_c_ = &m.counter(obs::family("tamper_worker_stalls_total"));
+  checkpoint_save_seconds_ = &m.histogram(obs::family("tamper_checkpoint_save_seconds"));
   checkpoint_restore_seconds_ = &m.histogram(
-      "tamper_checkpoint_restore_seconds", "Checkpoint restore duration at start()",
-      obs::duration_buckets());
+      obs::family("tamper_checkpoint_restore_seconds"));
 
   // Gauges and mirrors whose truth lives in the queue / emitter / heartbeat:
   // refreshed by this collector at every snapshot.
   obs::Gauge* heartbeat_age =
-      &m.gauge("tamper_supervisor_heartbeat_age_seconds",
-               "Seconds since the worker last made progress");
-  obs::Gauge* queue_depth = &m.gauge("tamper_queue_depth", "Samples currently queued");
-  obs::Gauge* queue_capacity =
-      &m.gauge("tamper_queue_capacity", "Bounded ingest queue capacity");
-  obs::Counter* q_pushed =
-      &m.counter("tamper_queue_pushed_total", "Samples accepted into the queue");
-  obs::Counter* q_popped =
-      &m.counter("tamper_queue_popped_total", "Samples popped by the worker");
-  obs::Counter* q_waits = &m.counter("tamper_queue_push_waits_total",
-                                     "Producer pushes that had to wait (kBlock)");
-  auto& shed_family = m.counter_family(
-      "tamper_queue_shed_total", "Samples shed under backpressure", {"reason"});
+      &m.gauge(obs::family("tamper_supervisor_heartbeat_age_seconds"));
+  obs::Gauge* queue_depth = &m.gauge(obs::family("tamper_queue_depth"));
+  obs::Gauge* queue_capacity = &m.gauge(obs::family("tamper_queue_capacity"));
+  obs::Counter* q_pushed = &m.counter(obs::family("tamper_queue_pushed_total"));
+  obs::Counter* q_popped = &m.counter(obs::family("tamper_queue_popped_total"));
+  obs::Counter* q_waits = &m.counter(obs::family("tamper_queue_push_waits_total"));
+  auto& shed_family = m.counter_family(obs::family("tamper_queue_shed_total"));
   obs::Counter* shed_embryonic = &shed_family.with({"embryonic"});
   obs::Counter* shed_forced = &shed_family.with({"forced"});
 
@@ -110,30 +93,22 @@ void SupervisedService::register_metrics() {
   obs::Counter* e_lost = nullptr;
   obs::Gauge* e_spool_depth = nullptr;
   if (emitter_ != nullptr) {
-    e_reports = &m.counter("tamper_emitter_reports_total", "Reports submitted to emit()");
-    e_delivered = &m.counter("tamper_emitter_delivered_total",
-                             "Reports the sink accepted (including spool replays)");
-    e_attempts =
-        &m.counter("tamper_emitter_attempts_total", "Individual sink deliver() calls");
-    e_retries = &m.counter("tamper_emitter_retries_total",
-                           "Delivery attempts beyond the first, per report");
-    e_spooled = &m.counter("tamper_emitter_spooled_total", "Reports parked on disk");
-    e_replayed = &m.counter("tamper_emitter_spool_replayed_total",
-                            "Spooled reports later delivered");
-    e_lost = &m.counter("tamper_emitter_lost_total",
-                        "Reports lost (spool write itself failed)");
-    e_spool_depth =
-        &m.gauge("tamper_emitter_spool_depth", "Spooled reports awaiting replay");
+    e_reports = &m.counter(obs::family("tamper_emitter_reports_total"));
+    e_delivered = &m.counter(obs::family("tamper_emitter_delivered_total"));
+    e_attempts = &m.counter(obs::family("tamper_emitter_attempts_total"));
+    e_retries = &m.counter(obs::family("tamper_emitter_retries_total"));
+    e_spooled = &m.counter(obs::family("tamper_emitter_spooled_total"));
+    e_replayed = &m.counter(obs::family("tamper_emitter_spool_replayed_total"));
+    e_lost = &m.counter(obs::family("tamper_emitter_lost_total"));
+    e_spool_depth = &m.gauge(obs::family("tamper_emitter_spool_depth"));
   }
   obs::Counter* e_replay_failures =
       emitter_ != nullptr
-          ? &m.counter("tamper_sink_spool_replay_failures_total",
-                       "Spool entries unreadable at replay (quarantined; data loss)")
+          ? &m.counter(obs::family("tamper_sink_spool_replay_failures_total"))
           : nullptr;
   obs::Counter* e_spool_dropped =
       emitter_ != nullptr
-          ? &m.counter("tamper_emitter_spool_dropped_total",
-                       "Oldest spool entries evicted to honor the spool cap")
+          ? &m.counter(obs::family("tamper_emitter_spool_dropped_total"))
           : nullptr;
 
   collector_ = m.add_collector([=, this] {

@@ -1,14 +1,10 @@
-// Fixture: R4 must fire on C-style narrowing and non-bridge
-// reinterpret_cast in the wire-parsing layer.
+// Fixture: R4 must fire on a non-bridge reinterpret_cast in the
+// wire-parsing layer.
 #include <cstdint>
 
 struct Header {
   std::uint16_t length;
 };
-
-std::uint16_t parse_length(long raw) {
-  return (std::uint16_t)raw;  // R4: silent truncation
-}
 
 const Header* view(const unsigned char* bytes) {
   return reinterpret_cast<const Header*>(bytes);  // R4: type-punning

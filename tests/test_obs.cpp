@@ -159,7 +159,6 @@ TEST(Histogram, RejectsUnsortedOrNonFiniteBounds) {
 TEST(Registry, GetOrCreateReturnsTheSameSeries) {
   obs::Registry reg;
   obs::Counter& a = reg.counter("obs_test_hits_total", "hits");
-  // tamperlint-allow(R6): exercising get-or-create, the one sanctioned duplicate
   obs::Counter& b = reg.counter("obs_test_hits_total", "hits");
   EXPECT_EQ(&a, &b);
   a.add(3);
@@ -169,19 +168,15 @@ TEST(Registry, GetOrCreateReturnsTheSameSeries) {
 TEST(Registry, MismatchedReRegistrationThrows) {
   obs::Registry reg;
   reg.counter("obs_test_mismatch_total", "original help");
-  // tamperlint-allow(R6): exercising the mismatch guard itself
   EXPECT_THROW(reg.counter("obs_test_mismatch_total", "different help"),
                std::logic_error);
-  // tamperlint-allow(R6): exercising the mismatch guard itself
   EXPECT_THROW(reg.gauge("obs_test_mismatch_total", "original help"),
                std::logic_error);
 }
 
 TEST(Registry, RejectsBadNamesAtRuntime) {
   obs::Registry reg;
-  // tamperlint-allow(R6): the runtime guard under test wants a bad name
   EXPECT_THROW(reg.counter("Bad_Name", "capitals"), std::invalid_argument);
-  // tamperlint-allow(R6): the runtime guard under test wants a bad label key
   EXPECT_THROW(reg.counter_family("obs_test_labeled_total", "help", {"Bad-Key"}),
                std::invalid_argument);
 }

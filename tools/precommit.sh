@@ -3,18 +3,17 @@
 #
 #   ln -s ../../tools/precommit.sh .git/hooks/pre-commit
 #
-# Commits that touch no lintable surface — sources, DESIGN.md (R10's
-# metric inventory), or the gate's own manifest/baseline — skip the gate
-# entirely. Anything else runs the full manifest+baseline form: the
-# cross-file pass is what catches a retyped header signature firing
-# R7/R13 in files the commit never touched, so there is no cheaper form
-# for header changes.
+# Commits that touch no lintable surface — sources or the gate's own
+# manifest/baseline — skip the gate entirely. Anything else runs the full
+# manifest+baseline form: the cross-file pass is what catches a retyped
+# header signature firing R7/R13 in files the commit never touched, so
+# there is no cheaper form for header changes.
 set -euo pipefail
 cd "$(dirname "$(readlink -f "$0")")/.."
 
 staged=$(git diff --cached --name-only --diff-filter=ACMRD)
 if [ -n "$staged" ] && ! grep -qE \
-    '\.(h|cpp)$|^DESIGN\.md$|^tools/tamperlint\.(manifest|baseline)$' \
+    '\.(h|cpp)$|^tools/tamperlint\.(manifest|baseline)$' \
     <<<"$staged"; then
   echo "pre-commit: no lintable surface staged; skipping lint gate"
   exit 0

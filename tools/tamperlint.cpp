@@ -23,9 +23,9 @@ namespace {
 
 constexpr const char* kUsage = R"(usage: tamperlint [options] [path...]
 
-Runs libtamper's contract lint over C++ sources: per-file rules R0-R6 plus
-the cross-file rules R7, R8, R10 and R13 (layering, lock order, metric-doc
-drift, strong ID parameters). Paths may be files or directories (recursed; build*/,
+Runs libtamper's contract lint over C++ sources: per-file rules R0-R5 plus
+the cross-file rules R7, R8 and R13 (layering, lock order, strong ID
+parameters). Paths may be files or directories (recursed; build*/,
 .git/, lint_fixtures/ skipped). With no paths and no manifest, lints
 src tools tests bench examples under --root.
 
@@ -206,15 +206,8 @@ int main(int argc, char** argv) {
     } else {
       rel_paths = tamper::lint::walk_sources(root, config, errors);
     }
-    std::vector<tamper::lint::SourceFile> files =
-        load_relative(root, rel_paths, errors);
-    // The metric inventory doc participates in R10 even though it is not a
-    // lintable source; pull it in when present.
-    std::string doc;
-    if (!config.metric_doc_path.empty() &&
-        read_file(root + "/" + config.metric_doc_path, doc))
-      files.push_back({config.metric_doc_path, std::move(doc)});
-    findings = tamper::lint::lint_repo(files, config, jobs);
+    findings = tamper::lint::lint_repo(load_relative(root, rel_paths, errors), config,
+                                       jobs);
   }
 
   if (!write_baseline_path.empty()) {

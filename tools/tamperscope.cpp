@@ -75,12 +75,15 @@
 //   text|json — structured logging on stderr (stdout stays the product).
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <csignal>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -104,6 +107,7 @@
 #include "core/classifier.h"
 #include "net/pcap.h"
 #include "obs/anomaly.h"
+#include "obs/families.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
@@ -126,6 +130,11 @@ namespace {
 // immediately with 128 + sig. Exit codes follow the shell convention.
 void install_signal_handlers() { service::ShutdownGuard::install(); }
 
+/// A malformed option value; main() reports it and exits 2.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
 struct Args {
   std::vector<std::string> positional;
   std::map<std::string, std::string> options;
@@ -138,10 +147,22 @@ struct Args {
   [[nodiscard]] bool has(const std::string& name) const {
     return options.contains(name);
   }
-  [[nodiscard]] std::uint64_t get_u64(const std::string& name,
-                                      std::uint64_t fallback) const {
+  /// The decimal value of --name in [min, max], or `fallback` when the
+  /// option is absent. Anything else (empty, signs, junk, overflow) throws
+  /// UsageError naming the option.
+  [[nodiscard]] std::uint64_t get_u64(
+      const std::string& name, std::uint64_t fallback, std::uint64_t min = 0,
+      std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) const {
     const auto it = options.find(name);
-    return it == options.end() ? fallback : std::strtoull(it->second.c_str(), nullptr, 10);
+    if (it == options.end()) return fallback;
+    const std::string& text = it->second;
+    std::uint64_t value = 0;
+    const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
+    if (ec != std::errc() || end != text.data() + text.size() || value < min ||
+        value > max)
+      throw UsageError("--" + name + " wants an integer in [" + std::to_string(min) +
+                       ", " + std::to_string(max) + "], got '" + text + "'");
+    return value;
   }
 };
 
@@ -331,32 +352,25 @@ int cmd_classify(const Args& args) {
 
   // Mirror the capture-side counters into the registry so --metrics-out
   // reflects reader + sampler health with the same names watch exposes.
-  metrics.counter("tamper_reader_frames_total", "Frames read from the capture")
+  metrics.counter(obs::family("tamper_reader_frames_total"))
       .increment_to(rs.frames_read);
-  auto& skipped = metrics.counter_family("tamper_reader_skipped_total",
-                                         "Frames the reader skipped", {"reason"});
+  auto& skipped = metrics.counter_family(obs::family("tamper_reader_skipped_total"));
   skipped.with({"unparseable"}).increment_to(rs.skipped_unparseable);
   skipped.with({"oversize"}).increment_to(rs.skipped_oversize);
   skipped.with({"truncated"}).increment_to(rs.skipped_truncated);
-  metrics.counter("tamper_reader_resyncs_total", "Successful record resyncs")
+  metrics.counter(obs::family("tamper_reader_resyncs_total"))
       .increment_to(rs.resyncs);
-  metrics
-      .counter("tamper_reader_resync_failures_total",
-               "Resync scans that found no plausible header")
+  metrics.counter(obs::family("tamper_reader_resync_failures_total"))
       .increment_to(rs.resync_failures);
-  metrics.counter("tamper_sampler_packets_total", "Packets offered to the sampler")
+  metrics.counter(obs::family("tamper_sampler_packets_total"))
       .increment_to(ss.packets_seen);
-  metrics
-      .counter("tamper_sampler_malformed_total",
-               "Hostile/garbage packets dropped before flow lookup")
+  metrics.counter(obs::family("tamper_sampler_malformed_total"))
       .increment_to(ss.packets_malformed);
-  metrics
-      .counter("tamper_sampler_evicted_total",
-               "Flows force-closed at the max_flows overload limit")
+  metrics.counter(obs::family("tamper_sampler_evicted_total"))
       .increment_to(ss.flows_evicted_overload);
-  metrics.counter("tamper_sampler_connections_total", "Connections assembled")
+  metrics.counter(obs::family("tamper_sampler_connections_total"))
       .increment_to(ss.connections_seen);
-  metrics.counter("tamper_sampler_sampled_total", "Connections sampled")
+  metrics.counter(obs::family("tamper_sampler_sampled_total"))
       .increment_to(ss.connections_sampled);
 
   const std::uint64_t degraded = reader.frames_skipped() + ss.packets_malformed +
@@ -384,7 +398,7 @@ int cmd_classify(const Args& args) {
 
   // Observability outputs are written on every exit path past this point.
   const auto flush_obs = [&](std::uint64_t flows) {
-    metrics.counter("tamper_classify_flows_total", "Flows classified")
+    metrics.counter(obs::family("tamper_classify_flows_total"))
         .increment_to(flows);
     if (!metrics_path.empty() && !write_metrics_files(metrics, metrics_path))
       logger.warn("classify", "metrics write failed", {{"path", metrics_path}});
@@ -722,7 +736,8 @@ std::optional<common::PopId> parse_pop_option(const Args& args,
 int cmd_fleet(const Args& args) {
   const std::uint64_t connections = args.get_u64("connections", 20'000);
   const std::uint64_t seed = args.get_u64("seed", 42);
-  const auto pops = static_cast<std::uint32_t>(args.get_u64("pops", 3));
+  const auto pops = static_cast<std::uint32_t>(
+      args.get_u64("pops", 3, 1, std::numeric_limits<std::uint32_t>::max()));
   const std::string state_dir = args.get("state", "tamperscope-fleet");
   const std::string report_path = args.get("report", "tamperscope-fleet.json");
   const std::string metrics_path = args.get("metrics-out");
@@ -908,7 +923,8 @@ void render_top_frame(const fleet::Merger& merger, std::uint64_t frame,
 int cmd_top(const Args& args) {
   const std::uint64_t connections = args.get_u64("connections", 20'000);
   const std::uint64_t seed = args.get_u64("seed", 42);
-  const auto pops = static_cast<std::uint32_t>(args.get_u64("pops", 3));
+  const auto pops = static_cast<std::uint32_t>(
+      args.get_u64("pops", 3, 1, std::numeric_limits<std::uint32_t>::max()));
   const std::uint64_t frames = std::max<std::uint64_t>(1, args.get_u64("frames", 8));
   const std::uint64_t interval_ms = args.get_u64("interval", 0);
   const bool clear = args.has("clear");
@@ -1099,6 +1115,9 @@ int main(int argc, char** argv) {
     if (command == "fleet") return cmd_fleet(args);
     if (command == "top") return cmd_top(args);
     if (command == "trends") return cmd_trends(args);
+  } catch (const UsageError& e) {
+    std::cerr << "usage error: " << e.what() << '\n';
+    return 2;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << '\n';
     return 1;
