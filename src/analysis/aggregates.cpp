@@ -1,6 +1,10 @@
 #include "analysis/aggregates.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 
 #include "common/rng.h"
 
@@ -21,30 +25,175 @@ std::vector<typename Map::key_type> sorted_keys(const Map& m) {
   return keys;
 }
 
-void write_domain_counts(common::BinWriter& w,
-                         const std::unordered_map<std::string, std::uint64_t>& m) {
-  w.u64(m.size());
-  for (const auto& domain : sorted_keys(m)) {
-    w.str(domain);
-    w.u64(m.at(domain));
+// ---- Sum codec ----
+//
+// The state of the five sum aggregators (every one but OverlapMatrix and
+// EvidenceCollector) is built from a few shapes, and write / read /
+// add_into each walk them once:
+//   std::uint64_t                u64; add_into sums
+//   std::array<std::uint64_t, N> N x u64, pointwise
+//   key: string / int64 / AsnId  str / i64 / u32 (never summed)
+//   std::map, std::unordered_map u64 count, then key, value pairs in
+//                                strictly increasing key order
+//   row (a std::tuple of references, or a struct with a Wire<> entry)
+//                                its fields, in the listed order
+// read() requires strictly increasing keys at every level and throws
+// std::runtime_error otherwise: a payload with a repeated key has no
+// single meaning, and write() never produces one.
+namespace sum {
+
+/// Wire<Row>::fields(row): std::tie of Row's counters, once, in wire order.
+template <class Row>
+struct Wire;
+template <>
+struct Wire<SignatureMatrix::CountryRow> {
+  static auto fields(auto& r) { return std::tie(r.connections, r.matches, r.by_signature); }
+};
+template <>
+struct Wire<AsnAggregator::AsnStats> {  // asn is the map key, not a counter
+  static auto fields(auto& r) { return std::tie(r.connections, r.matches); }
+};
+template <>
+struct Wire<TimeSeries::HourBucket> {
+  static auto fields(auto& r) {
+    return std::tie(r.connections, r.post_ack_psh_matches, r.by_signature);
+  }
+};
+template <>
+struct Wire<VersionProtocolAggregator::Split> {
+  static auto fields(auto& r) {
+    return std::tie(r.v4_total, r.v4_matches, r.v6_total, r.v6_matches, r.tls_total,
+                    r.tls_psh_matches, r.http_total, r.http_psh_matches);
+  }
+};
+template <>
+struct Wire<CategoryAggregator::CountryData> {
+  static auto fields(auto& r) { return std::tie(r.tampered_by_domain, r.seen_by_domain); }
+};
+
+template <class T>
+constexpr bool kIsTuple = false;
+template <class... Ts>
+constexpr bool kIsTuple<std::tuple<Ts...>> = true;
+template <class T>
+constexpr bool kIsArray = false;
+template <std::size_t N>
+constexpr bool kIsArray<std::array<std::uint64_t, N>> = true;
+template <class T>
+concept Map = requires { typename T::mapped_type; };
+
+template <class Row>
+auto fields_of(Row& row) {
+  if constexpr (kIsTuple<std::remove_const_t<Row>>)
+    return row;
+  else
+    return Wire<std::remove_const_t<Row>>::fields(row);
+}
+
+template <class T>
+void write(common::BinWriter& w, const T& v) {
+  if constexpr (std::is_same_v<T, std::uint64_t>) {
+    w.u64(v);
+  } else if constexpr (std::is_same_v<T, std::int64_t>) {
+    w.i64(v);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    w.str(v);
+  } else if constexpr (std::is_same_v<T, common::AsnId>) {
+    w.u32(v.value());
+  } else if constexpr (kIsArray<T>) {
+    for (const std::uint64_t x : v) w.u64(x);
+  } else if constexpr (Map<T>) {
+    w.u64(v.size());
+    const auto write_entry = [&w](const auto& entry) {
+      write(w, entry.first);
+      write(w, entry.second);
+    };
+    if constexpr (requires { v.bucket_count(); }) {
+      // Unordered: the same bytes a std::map would write. Sort pointers to
+      // the entries, not copies of the keys.
+      std::vector<const typename T::value_type*> sorted;
+      sorted.reserve(v.size());
+      for (const auto& entry : v) sorted.push_back(&entry);
+      std::sort(sorted.begin(), sorted.end(),
+                [](const auto* a, const auto* b) { return a->first < b->first; });
+      for (const auto* entry : sorted) write_entry(*entry);
+    } else {
+      for (const auto& entry : v) write_entry(entry);
+    }
+  } else {
+    std::apply([&](const auto&... field) { (write(w, field), ...); }, fields_of(v));
   }
 }
 
-void read_domain_counts(common::BinReader& r,
-                        std::unordered_map<std::string, std::uint64_t>& m) {
-  const std::uint64_t n = r.u64();
-  // Element count is validated by the per-element reads (BinUnderrun on a
-  // short payload); only the pre-reservation is clamped against hostile n.
-  m.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(n, 1u << 20)));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    std::string domain = r.str();
-    m[std::move(domain)] = r.u64();
+template <class T>
+void read(common::BinReader& r, T&& out) {
+  using U = std::remove_cvref_t<T>;
+  if constexpr (std::is_same_v<U, std::uint64_t>) {
+    out = r.u64();
+  } else if constexpr (std::is_same_v<U, std::int64_t>) {
+    out = r.i64();
+  } else if constexpr (std::is_same_v<U, std::string>) {
+    out = r.str();
+  } else if constexpr (std::is_same_v<U, common::AsnId>) {
+    out = common::AsnId(r.u32());
+  } else if constexpr (kIsArray<U>) {
+    for (std::uint64_t& x : out) x = r.u64();
+  } else if constexpr (Map<U>) {
+    out.clear();
+    const std::uint64_t n = r.u64();
+    // The count is validated by the per-element reads (BinUnderrun on a
+    // short payload); only the pre-reservation is clamped against hostile n.
+    if constexpr (requires { out.reserve(std::size_t{}); })
+      out.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(n, 1u << 20)));
+    const typename U::key_type* prev = nullptr;
+    for (std::uint64_t i = 0; i < n; ++i) {
+      typename U::key_type key{};
+      read(r, key);
+      if (prev != nullptr && !(*prev < key))
+        throw std::runtime_error("aggregate snapshot: keys not strictly increasing");
+      const auto it = out.emplace_hint(out.end(), std::move(key), typename U::mapped_type{});
+      prev = &it->first;
+      read(r, it->second);
+    }
+  } else {
+    std::apply([&](auto&... field) { (read(r, field), ...); }, fields_of(out));
   }
 }
 
+template <class T, class Other>
+void add_into(T&& mine, const Other& theirs) {
+  using U = std::remove_cvref_t<T>;
+  if constexpr (std::is_same_v<U, std::uint64_t>) {
+    mine += theirs;
+  } else if constexpr (kIsArray<U>) {
+    for (std::size_t i = 0; i < mine.size(); ++i) mine[i] += theirs[i];
+  } else if constexpr (Map<U>) {
+    for (const auto& [key, value] : theirs) add_into(mine[key], value);
+  } else {
+    auto a = fields_of(mine);
+    const auto b = fields_of(theirs);
+    [&]<std::size_t... I>(std::index_sequence<I...>) {
+      (add_into(std::get<I>(a), std::get<I>(b)), ...);
+    }(std::make_index_sequence<std::tuple_size_v<decltype(a)>>{});
+  }
+}
+
+}  // namespace sum
 }  // namespace
 
 // ---- SignatureMatrix ----
+
+template <class Self>
+auto SignatureMatrix::fields(Self& m) {
+  return std::tie(m.total_, m.possibly_, m.matched_, m.signature_totals_, m.stage_possibly_,
+                  m.stage_matched_, m.rows_);
+}
+
+void SignatureMatrix::merge(const SignatureMatrix& other) {
+  sum::add_into(fields(*this), fields(other));
+}
+void SignatureMatrix::snapshot(common::BinWriter& w) const { sum::write(w, fields(*this)); }
+void SignatureMatrix::restore(common::BinReader& r) { sum::read(r, fields(*this)); }
 
 void SignatureMatrix::add(const ConnectionRecord& record) {
   ++total_;
@@ -91,41 +240,6 @@ std::uint64_t SignatureMatrix::stage_matched(core::Stage stage) const {
   return stage_matched_[static_cast<std::size_t>(stage)];
 }
 
-void SignatureMatrix::snapshot(common::BinWriter& w) const {
-  w.u64(total_);
-  w.u64(possibly_);
-  w.u64(matched_);
-  for (std::uint64_t v : signature_totals_) w.u64(v);
-  for (std::uint64_t v : stage_possibly_) w.u64(v);
-  for (std::uint64_t v : stage_matched_) w.u64(v);
-  w.u64(rows_.size());
-  for (const auto& [cc, row] : rows_) {
-    w.str(cc);
-    w.u64(row.connections);
-    w.u64(row.matches);
-    for (std::uint64_t v : row.by_signature) w.u64(v);
-  }
-}
-
-void SignatureMatrix::restore(common::BinReader& r) {
-  *this = SignatureMatrix();
-  total_ = r.u64();
-  possibly_ = r.u64();
-  matched_ = r.u64();
-  for (std::uint64_t& v : signature_totals_) v = r.u64();
-  for (std::uint64_t& v : stage_possibly_) v = r.u64();
-  for (std::uint64_t& v : stage_matched_) v = r.u64();
-  const std::uint64_t rows = r.u64();
-  for (std::uint64_t i = 0; i < rows; ++i) {
-    std::string cc = r.str();
-    CountryRow row;
-    row.connections = r.u64();
-    row.matches = r.u64();
-    for (std::uint64_t& v : row.by_signature) v = r.u64();
-    rows_.emplace(std::move(cc), row);
-  }
-}
-
 std::vector<std::string> SignatureMatrix::countries() const {
   std::vector<std::string> out;
   out.reserve(rows_.size());
@@ -133,30 +247,10 @@ std::vector<std::string> SignatureMatrix::countries() const {
   return out;
 }
 
-void SignatureMatrix::merge(const SignatureMatrix& other) {
-  total_ += other.total_;
-  possibly_ += other.possibly_;
-  matched_ += other.matched_;
-  for (std::size_t i = 0; i < signature_totals_.size(); ++i)
-    signature_totals_[i] += other.signature_totals_[i];
-  for (std::size_t i = 0; i < stage_possibly_.size(); ++i)
-    stage_possibly_[i] += other.stage_possibly_[i];
-  for (std::size_t i = 0; i < stage_matched_.size(); ++i)
-    stage_matched_[i] += other.stage_matched_[i];
-  for (const auto& [cc, row] : other.rows_) {
-    CountryRow& mine = rows_[cc];
-    mine.connections += row.connections;
-    mine.matches += row.matches;
-    for (std::size_t i = 0; i < mine.by_signature.size(); ++i)
-      mine.by_signature[i] += row.by_signature[i];
-  }
-}
-
 // ---- AsnAggregator ----
 
 void AsnAggregator::add(const ConnectionRecord& record) {
   AsnStats& stats = by_country_[record.country][record.asn];
-  stats.asn = record.asn;
   ++stats.connections;
   if (record.classification.signature) ++stats.matches;
 }
@@ -166,7 +260,10 @@ std::vector<AsnAggregator::AsnStats> AsnAggregator::top_ases(const std::string& 
   std::vector<AsnStats> out;
   const auto it = by_country_.find(cc);
   if (it == by_country_.end()) return out;
-  for (const auto& [asn, stats] : it->second) out.push_back(stats);
+  for (const auto& [asn, stats] : it->second) {
+    out.push_back(stats);
+    out.back().asn = asn;
+  }
   std::sort(out.begin(), out.end(), [](const AsnStats& a, const AsnStats& b) {
     return a.connections > b.connections;
   });
@@ -189,46 +286,10 @@ std::uint64_t AsnAggregator::country_total(const std::string& cc) const {
 }
 
 void AsnAggregator::merge(const AsnAggregator& other) {
-  for (const auto& [cc, ases] : other.by_country_) {
-    auto& mine = by_country_[cc];
-    for (const auto& [asn, stats] : ases) {
-      AsnStats& s = mine[asn];
-      s.asn = asn;
-      s.connections += stats.connections;
-      s.matches += stats.matches;
-    }
-  }
+  sum::add_into(by_country_, other.by_country_);
 }
-
-void AsnAggregator::snapshot(common::BinWriter& w) const {
-  w.u64(by_country_.size());
-  for (const auto& [cc, ases] : by_country_) {
-    w.str(cc);
-    w.u64(ases.size());
-    for (const auto& [asn, stats] : ases) {
-      w.u32(asn.value());
-      w.u64(stats.connections);
-      w.u64(stats.matches);
-    }
-  }
-}
-
-void AsnAggregator::restore(common::BinReader& r) {
-  by_country_.clear();
-  const std::uint64_t countries = r.u64();
-  for (std::uint64_t i = 0; i < countries; ++i) {
-    std::string cc = r.str();
-    auto& ases = by_country_[std::move(cc)];
-    const std::uint64_t count = r.u64();
-    for (std::uint64_t j = 0; j < count; ++j) {
-      AsnStats stats;
-      stats.asn = common::AsnId(r.u32());
-      stats.connections = r.u64();
-      stats.matches = r.u64();
-      ases.emplace(stats.asn, stats);
-    }
-  }
-}
+void AsnAggregator::snapshot(common::BinWriter& w) const { sum::write(w, by_country_); }
+void AsnAggregator::restore(common::BinReader& r) { sum::read(r, by_country_); }
 
 // ---- TimeSeries ----
 
@@ -257,50 +318,9 @@ std::vector<std::string> TimeSeries::countries() const {
   return out;
 }
 
-void TimeSeries::merge(const TimeSeries& other) {
-  for (const auto& [cc, hours] : other.series_) {
-    auto& mine = series_[cc];
-    for (const auto& [hour, bucket] : hours) {
-      HourBucket& b = mine[hour];
-      b.connections += bucket.connections;
-      b.post_ack_psh_matches += bucket.post_ack_psh_matches;
-      for (std::size_t i = 0; i < b.by_signature.size(); ++i)
-        b.by_signature[i] += bucket.by_signature[i];
-    }
-  }
-}
-
-void TimeSeries::snapshot(common::BinWriter& w) const {
-  w.u64(series_.size());
-  for (const auto& [cc, hours] : series_) {
-    w.str(cc);
-    w.u64(hours.size());
-    for (const auto& [hour, bucket] : hours) {
-      w.i64(hour);
-      w.u64(bucket.connections);
-      w.u64(bucket.post_ack_psh_matches);
-      for (std::uint64_t v : bucket.by_signature) w.u64(v);
-    }
-  }
-}
-
-void TimeSeries::restore(common::BinReader& r) {
-  series_.clear();
-  const std::uint64_t countries = r.u64();
-  for (std::uint64_t i = 0; i < countries; ++i) {
-    std::string cc = r.str();
-    auto& hours = series_[std::move(cc)];
-    const std::uint64_t count = r.u64();
-    for (std::uint64_t j = 0; j < count; ++j) {
-      const std::int64_t hour = r.i64();
-      HourBucket bucket;
-      bucket.connections = r.u64();
-      bucket.post_ack_psh_matches = r.u64();
-      for (std::uint64_t& v : bucket.by_signature) v = r.u64();
-      hours.emplace(hour, bucket);
-    }
-  }
-}
+void TimeSeries::merge(const TimeSeries& other) { sum::add_into(series_, other.series_); }
+void TimeSeries::snapshot(common::BinWriter& w) const { sum::write(w, series_); }
+void TimeSeries::restore(common::BinReader& r) { sum::read(r, series_); }
 
 // ---- VersionProtocolAggregator ----
 
@@ -327,50 +347,12 @@ void VersionProtocolAggregator::add(const ConnectionRecord& record) {
 }
 
 void VersionProtocolAggregator::merge(const VersionProtocolAggregator& other) {
-  for (const auto& [cc, split] : other.by_country_) {
-    Split& mine = by_country_[cc];
-    mine.v4_total += split.v4_total;
-    mine.v4_matches += split.v4_matches;
-    mine.v6_total += split.v6_total;
-    mine.v6_matches += split.v6_matches;
-    mine.tls_total += split.tls_total;
-    mine.tls_psh_matches += split.tls_psh_matches;
-    mine.http_total += split.http_total;
-    mine.http_psh_matches += split.http_psh_matches;
-  }
+  sum::add_into(by_country_, other.by_country_);
 }
-
 void VersionProtocolAggregator::snapshot(common::BinWriter& w) const {
-  w.u64(by_country_.size());
-  for (const auto& [cc, split] : by_country_) {
-    w.str(cc);
-    w.u64(split.v4_total);
-    w.u64(split.v4_matches);
-    w.u64(split.v6_total);
-    w.u64(split.v6_matches);
-    w.u64(split.tls_total);
-    w.u64(split.tls_psh_matches);
-    w.u64(split.http_total);
-    w.u64(split.http_psh_matches);
-  }
+  sum::write(w, by_country_);
 }
-
-void VersionProtocolAggregator::restore(common::BinReader& r) {
-  by_country_.clear();
-  const std::uint64_t countries = r.u64();
-  for (std::uint64_t i = 0; i < countries; ++i) {
-    std::string cc = r.str();
-    Split& split = by_country_[std::move(cc)];
-    split.v4_total = r.u64();
-    split.v4_matches = r.u64();
-    split.v6_total = r.u64();
-    split.v6_matches = r.u64();
-    split.tls_total = r.u64();
-    split.tls_psh_matches = r.u64();
-    split.http_total = r.u64();
-    split.http_psh_matches = r.u64();
-  }
-}
+void VersionProtocolAggregator::restore(common::BinReader& r) { sum::read(r, by_country_); }
 
 // ---- CategoryAggregator ----
 
@@ -428,34 +410,11 @@ std::vector<std::string> CategoryAggregator::countries() const {
 }
 
 void CategoryAggregator::merge(const CategoryAggregator& other) {
-  for (const auto& [cc, data] : other.by_country_) {
-    CountryData& mine = by_country_[cc];
-    for (const auto& [domain, n] : data.tampered_by_domain)
-      mine.tampered_by_domain[domain] += n;
-    for (const auto& [domain, n] : data.seen_by_domain)
-      mine.seen_by_domain[domain] += n;
-  }
+  sum::add_into(by_country_, other.by_country_);
 }
-
-void CategoryAggregator::snapshot(common::BinWriter& w) const {
-  w.u64(by_country_.size());
-  for (const auto& [cc, data] : by_country_) {
-    w.str(cc);
-    write_domain_counts(w, data.tampered_by_domain);
-    write_domain_counts(w, data.seen_by_domain);
-  }
-}
-
-void CategoryAggregator::restore(common::BinReader& r) {
-  by_country_.clear();  // lookup_ is config, not state: keep it
-  const std::uint64_t countries = r.u64();
-  for (std::uint64_t i = 0; i < countries; ++i) {
-    std::string cc = r.str();
-    CountryData& data = by_country_[std::move(cc)];
-    read_domain_counts(r, data.tampered_by_domain);
-    read_domain_counts(r, data.seen_by_domain);
-  }
-}
+void CategoryAggregator::snapshot(common::BinWriter& w) const { sum::write(w, by_country_); }
+// lookup_ is config, not state: restore keeps it.
+void CategoryAggregator::restore(common::BinReader& r) { sum::read(r, by_country_); }
 
 // ---- OverlapMatrix ----
 

@@ -9,6 +9,15 @@
 // and a central merger can combine the partials in any order — and any
 // grouping — without changing a byte of the merged output
 // (tests/test_fleet.cpp pins the three laws against serialized state).
+//
+// Five of them are pointwise sums: SignatureMatrix, AsnAggregator,
+// TimeSeries, VersionProtocolAggregator and CategoryAggregator. Their
+// merge, snapshot and restore are one call each into a single sum codec
+// (aggregates.cpp), which lists each row type's counters once, in wire
+// order. Maps are written in strictly increasing key order, and restore
+// requires exactly that at every level: a repeated or out-of-order key
+// throws std::runtime_error. OverlapMatrix and EvidenceCollector merge by
+// other rules and keep their own code.
 #pragma once
 
 #include <array>
@@ -76,6 +85,10 @@ class SignatureMatrix {
   std::uint64_t total_ = 0;
   std::uint64_t possibly_ = 0;
   std::uint64_t matched_ = 0;
+
+  /// std::tie of every member above, in wire order (aggregates.cpp).
+  template <class Self>
+  static auto fields(Self& self);
 };
 
 /// Per-AS match proportions within each country (Figure 5).
@@ -84,7 +97,7 @@ class AsnAggregator {
   void add(const ConnectionRecord& record);
 
   struct AsnStats {
-    common::AsnId asn{};
+    common::AsnId asn{};  ///< set by top_ases from the map key; not stored
     std::uint64_t connections = 0;
     std::uint64_t matches = 0;
     [[nodiscard]] double match_percent() const noexcept {
@@ -114,11 +127,6 @@ class AsnAggregator {
 /// Hourly time series of match rates (Figures 6, 8, 9).
 class TimeSeries {
  public:
-  enum class Metric : std::uint8_t {
-    kPostAckPostPsh,  ///< Fig. 6: Post-ACK + Post-PSH signatures only
-    kPerSignature,    ///< Figs. 8/9: every signature separately
-  };
-
   void add(const ConnectionRecord& record);
 
   struct HourBucket {
@@ -181,9 +189,6 @@ class CategoryAggregator {
     std::uint64_t tampered_connections = 0;
     std::set<std::string> tampered_domains;
     std::set<std::string> seen_domains;  ///< all domains requested, tampered or not
-  };
-  struct DomainCount {
-    std::uint64_t tampered = 0;
   };
 
   /// Apply the paper's >=100-matches-per-domain confidence threshold and

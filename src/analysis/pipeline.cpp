@@ -1,5 +1,8 @@
 #include "analysis/pipeline.h"
 
+#include <tuple>
+#include <type_traits>
+
 #include "obs/families.h"
 
 namespace tamper::analysis {
@@ -15,9 +18,8 @@ constexpr std::array<std::uint64_t Pipeline::ScannerStats::*, 5> kScannerFields 
 
 }  // namespace
 
-Pipeline::Pipeline(const world::World& world, core::ClassifierConfig classifier_config)
+Pipeline::Pipeline(const world::World& world)
     : world_(world),
-      classifier_(classifier_config),
       categories_([&world](const std::string& domain) -> std::optional<world::Category> {
         const auto rank = world.domains().rank_of(domain);
         if (!rank) return std::nullopt;
@@ -242,14 +244,7 @@ void Pipeline::snapshot(common::BinWriter& w) const {
   for (const auto field : kScannerFields) w.u64(scanner_.*field);
   w.i64(latest_ts_sec_);
 
-  matrix_.snapshot(w);
-  asns_.snapshot(w);
-  timeseries_.snapshot(w);
-  version_protocol_.snapshot(w);
-  categories_.snapshot(w);
-  overlap_.snapshot(w);
-  evidence_.snapshot(w);
-  trends_.snapshot(w);
+  std::apply([&](auto... part) { ((this->*part).snapshot(w), ...); }, kParts);
 }
 
 void Pipeline::restore(common::BinReader& r) {
@@ -260,14 +255,7 @@ void Pipeline::restore(common::BinReader& r) {
   for (const auto field : kScannerFields) scanner_.*field = r.u64();
   latest_ts_sec_ = r.i64();
 
-  matrix_.restore(r);
-  asns_.restore(r);
-  timeseries_.restore(r);
-  version_protocol_.restore(r);
-  categories_.restore(r);
-  overlap_.restore(r);
-  evidence_.restore(r);
-  trends_.restore(r);
+  std::apply([&](auto... part) { ((this->*part).restore(r), ...); }, kParts);
 
   // A restored process reads fresh sources whose cumulative counters start
   // at zero again; the delta baselines must follow.
@@ -289,14 +277,13 @@ void Pipeline::merge_from(const Pipeline& other) {
   for (const auto field : kScannerFields) scanner_.*field += other.scanner_.*field;
   if (other.latest_ts_sec_ > latest_ts_sec_) latest_ts_sec_ = other.latest_ts_sec_;
 
-  matrix_.merge(other.matrix_);
-  asns_.merge(other.asns_);
-  timeseries_.merge(other.timeseries_);
-  version_protocol_.merge(other.version_protocol_);
-  categories_.merge(other.categories_);
-  overlap_.merge(other.overlap_);
-  evidence_.merge(other.evidence_);
-  trends_.merge_from(other.trends_);
+  const auto merge = [](auto& mine, const auto& theirs) {
+    if constexpr (std::is_same_v<decltype(mine), obs::EpochRing&>)
+      mine.merge_from(theirs);
+    else
+      mine.merge(theirs);
+  };
+  std::apply([&](auto... part) { (merge(this->*part, other.*part), ...); }, kParts);
 }
 
 }  // namespace tamper::analysis

@@ -10,6 +10,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <tuple>
 
 #include "analysis/aggregates.h"
 #include "analysis/evidence.h"
@@ -110,8 +111,7 @@ inline std::uint64_t DegradedStats::coverage_loss() const noexcept {
 
 class Pipeline {
  public:
-  explicit Pipeline(const world::World& world,
-                    core::ClassifierConfig classifier_config = {});
+  explicit Pipeline(const world::World& world);
   ~Pipeline();
 
   /// Attach observability. The registry gains the tamper_pipeline_* metric
@@ -316,6 +316,12 @@ class Pipeline {
   obs::Gauge* ts_series_g_ = nullptr;
   obs::Gauge* ts_latest_epoch_g_ = nullptr;
   obs::EpochRing trends_;
+  /// The aggregate members, in checkpoint order: snapshot, restore and
+  /// merge_from walk this list.
+  static constexpr std::tuple kParts{&Pipeline::matrix_,     &Pipeline::asns_,
+                                     &Pipeline::timeseries_, &Pipeline::version_protocol_,
+                                     &Pipeline::categories_, &Pipeline::overlap_,
+                                     &Pipeline::evidence_,   &Pipeline::trends_};
   mutable common::Mutex stats_mu_;  ///< guards degraded accounting only
   DegradedStats degraded_ TAMPER_GUARDED_BY(stats_mu_);
   /// Last cumulative value absorbed per source-fed counter (see absorb).

@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <optional>
+#include <set>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "analysis/aggregates.h"
 #include "analysis/evidence.h"
 #include "analysis/pipeline.h"
@@ -196,6 +203,206 @@ TEST(Aggregates, OverlapMatrixTracksPairs) {
   overlap.add(r);
   EXPECT_EQ(overlap.row_total(static_cast<std::size_t>(core::Signature::kPshRstEqRst)),
             0u);
+}
+
+// ---- CategoryAggregator (Table 2) ----
+
+ConnectionRecord category_record(const std::string& domain,
+                                 std::optional<core::Signature> sig) {
+  ConnectionRecord r;
+  r.country = "CN";
+  r.domain = domain;
+  if (sig) {
+    r.classification.possibly_tampered = true;
+    r.classification.signature = *sig;
+    r.classification.stage = core::stage_of(*sig);
+  }
+  return r;
+}
+
+CategoryAggregator category_aggregator() {
+  return CategoryAggregator([](const std::string& domain) -> std::optional<world::Category> {
+    if (domain == "chat.example") return world::Category::kChat;
+    if (domain == "news.example") return world::Category::kBusiness;
+    return std::nullopt;
+  });
+}
+
+void add_n(CategoryAggregator& agg, int n, const std::string& domain,
+           std::optional<core::Signature> sig) {
+  for (int i = 0; i < n; ++i) agg.add(category_record(domain, sig));
+}
+
+TEST(Aggregates, CategoryDomainThresholdIsOneHundredMatches) {
+  CategoryAggregator agg = category_aggregator();
+  add_n(agg, 100, "chat.example", core::Signature::kPshRst);
+  add_n(agg, 99, "news.example", core::Signature::kPshRst);
+  const auto stats = agg.country_stats("CN");
+  ASSERT_TRUE(stats.contains(world::Category::kChat));
+  EXPECT_EQ(stats.at(world::Category::kChat).tampered_connections, 100u);
+  EXPECT_EQ(stats.at(world::Category::kChat).tampered_domains,
+            std::set<std::string>{"chat.example"});
+  EXPECT_EQ(stats.at(world::Category::kBusiness).tampered_connections, 0u);
+  EXPECT_TRUE(stats.at(world::Category::kBusiness).tampered_domains.empty());
+  EXPECT_EQ(agg.tampered_domains("CN"), std::vector<std::string>{"chat.example"});
+  EXPECT_EQ(agg.tampered_domains("CN", 99),
+            (std::vector<std::string>{"chat.example", "news.example"}));
+}
+
+TEST(Aggregates, CategoryCountsOnlyPostPshAndPostDataAsTampered) {
+  CategoryAggregator agg = category_aggregator();
+  add_n(agg, 50, "chat.example", core::Signature::kPshRstAck);  // Post-PSH
+  add_n(agg, 50, "chat.example", core::Signature::kDataRst);    // Post-Data
+  add_n(agg, 100, "news.example", core::Signature::kSynRst);    // Post-SYN
+  add_n(agg, 100, "news.example", core::Signature::kAckRst);    // Post-ACK
+  add_n(agg, 100, "news.example", std::nullopt);                // clean
+  EXPECT_EQ(agg.tampered_domains("CN", 1), std::vector<std::string>{"chat.example"});
+  EXPECT_EQ(agg.country_stats("CN").at(world::Category::kChat).tampered_connections, 100u);
+}
+
+TEST(Aggregates, CategorySeenDomainsIncludeUntampered) {
+  CategoryAggregator agg = category_aggregator();
+  add_n(agg, 1, "news.example", std::nullopt);
+  add_n(agg, 1, "unknown.example", std::nullopt);  // no category: never reported
+  const auto stats = agg.country_stats("CN");
+  ASSERT_EQ(stats.size(), 1u);
+  EXPECT_EQ(stats.at(world::Category::kBusiness).seen_domains,
+            std::set<std::string>{"news.example"});
+  EXPECT_TRUE(stats.at(world::Category::kBusiness).tampered_domains.empty());
+  EXPECT_EQ(agg.countries(), std::vector<std::string>{"CN"});
+}
+
+TEST(Aggregates, CategorySnapshotRestoreIsByteStable) {
+  CategoryAggregator agg = category_aggregator();
+  add_n(agg, 120, "chat.example", core::Signature::kPshRst);
+  add_n(agg, 3, "news.example", std::nullopt);
+  add_n(agg, 2, "unknown.example", core::Signature::kDataRstAck);
+  common::BinWriter first;
+  agg.snapshot(first);
+
+  CategoryAggregator restored = category_aggregator();
+  common::BinReader reader(first.bytes());
+  restored.restore(reader);
+  EXPECT_TRUE(reader.exhausted());
+  common::BinWriter second;
+  restored.snapshot(second);
+  EXPECT_EQ(first.bytes(), second.bytes());
+  EXPECT_EQ(restored.tampered_domains("CN"), std::vector<std::string>{"chat.example"});
+}
+
+TEST(Aggregates, CategoryMergeSumsPerDomain) {
+  CategoryAggregator a = category_aggregator();
+  CategoryAggregator b = category_aggregator();
+  add_n(a, 60, "chat.example", core::Signature::kPshRst);
+  add_n(b, 60, "chat.example", core::Signature::kPshRst);
+  add_n(b, 5, "news.example", std::nullopt);
+  EXPECT_TRUE(a.tampered_domains("CN").empty());  // 60 < 100 on each side
+  a.merge(b);
+  EXPECT_EQ(a.tampered_domains("CN"), std::vector<std::string>{"chat.example"});
+  const auto stats = a.country_stats("CN");
+  EXPECT_EQ(stats.at(world::Category::kChat).tampered_connections, 120u);
+  EXPECT_EQ(stats.at(world::Category::kBusiness).seen_domains,
+            std::set<std::string>{"news.example"});
+}
+
+// ---- Decode rule: strictly increasing keys at every level ----
+
+enum class KeyOrder { kIncreasing, kRepeated, kDecreasing };
+
+// One hand-written payload per sum aggregator; `order` picks the second of
+// its two keys at one level (a country, an hour, an AS or a domain).
+struct DecodeCase {
+  const char* name;
+  std::function<void(common::BinWriter&, KeyOrder)> write;
+  std::function<void(common::BinReader&)> restore;
+};
+
+template <class Key>
+Key pick(KeyOrder order, Key increasing, Key repeated, Key decreasing) {
+  switch (order) {
+    case KeyOrder::kIncreasing: return increasing;
+    case KeyOrder::kRepeated: return repeated;
+    case KeyOrder::kDecreasing: return decreasing;
+  }
+  return repeated;
+}
+
+void write_zeros(common::BinWriter& w, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) w.u64(0);
+}
+
+TEST(Aggregates, RestoreRejectsRepeatedAndOutOfOrderKeys) {
+  const std::vector<DecodeCase> cases = {
+      {"SignatureMatrix country",
+       [](common::BinWriter& w, KeyOrder order) {
+         write_zeros(w, 3 + core::kSignatureCount + 5 + 5);  // totals, stages
+         w.u64(2);
+         for (const std::string& cc : {std::string("CN"), pick<std::string>(order, "DE", "CN", "AA")}) {
+           w.str(cc);
+           write_zeros(w, 2 + core::kSignatureCount);
+         }
+       },
+       [](common::BinReader& r) { SignatureMatrix().restore(r); }},
+      {"AsnAggregator AS",
+       [](common::BinWriter& w, KeyOrder order) {
+         w.u64(1);
+         w.str("RU");
+         w.u64(2);
+         for (const std::uint32_t asn : {7u, pick(order, 8u, 7u, 6u)}) {
+           w.u32(asn);
+           write_zeros(w, 2);
+         }
+       },
+       [](common::BinReader& r) { AsnAggregator().restore(r); }},
+      {"TimeSeries hour",
+       [](common::BinWriter& w, KeyOrder order) {
+         w.u64(1);
+         w.str("IR");
+         w.u64(2);
+         for (const std::int64_t hour : {std::int64_t{2}, pick<std::int64_t>(order, 3, 2, 1)}) {
+           w.i64(hour);
+           write_zeros(w, 2 + core::kSignatureCount);
+         }
+       },
+       [](common::BinReader& r) { TimeSeries().restore(r); }},
+      {"VersionProtocolAggregator country",
+       [](common::BinWriter& w, KeyOrder order) {
+         w.u64(2);
+         for (const std::string& cc : {std::string("LK"), pick<std::string>(order, "MM", "LK", "KR")}) {
+           w.str(cc);
+           write_zeros(w, 8);
+         }
+       },
+       [](common::BinReader& r) { VersionProtocolAggregator().restore(r); }},
+      {"CategoryAggregator domain",
+       [](common::BinWriter& w, KeyOrder order) {
+         w.u64(1);
+         w.str("CN");
+         w.u64(2);  // tampered_by_domain
+         for (const std::string& domain : {std::string("b.example"),
+                                           pick<std::string>(order, "c.example", "b.example",
+                                                             "a.example")}) {
+           w.str(domain);
+           w.u64(1);
+         }
+         w.u64(0);  // seen_by_domain
+       },
+       [](common::BinReader& r) { category_aggregator().restore(r); }},
+  };
+  for (const DecodeCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    common::BinWriter valid;
+    c.write(valid, KeyOrder::kIncreasing);
+    common::BinReader reader(valid.bytes());
+    ASSERT_NO_THROW(c.restore(reader));  // the payload is well formed...
+    EXPECT_TRUE(reader.exhausted());
+    for (const KeyOrder order : {KeyOrder::kRepeated, KeyOrder::kDecreasing}) {
+      common::BinWriter bad;  // ...until its keys stop increasing
+      c.write(bad, order);
+      common::BinReader bad_reader(bad.bytes());
+      EXPECT_THROW(c.restore(bad_reader), std::runtime_error);
+    }
+  }
 }
 
 TEST(TestLists, TrancoTiersAreNestedInSpirit) {

@@ -13,9 +13,11 @@
 #include <sstream>
 #include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "analysis/pipeline.h"
+#include "analysis/report.h"
 #include "common/binio.h"
 #include "common/ids.h"
 #include "fleet/partial.h"
@@ -248,6 +250,55 @@ TEST(ByteIdentityTest, SnapshotRoundTripIsByteStableUnderStrongKeys) {
   common::BinWriter second;
   restored.snapshot(second);
   EXPECT_EQ(first.bytes(), second.bytes());
+}
+
+// Pins the state bytes across commits, not just within one build: the
+// round-trip, monoid-law and fleet-vs-monolith tests compare two runs of
+// the same encoder, so they cannot see an encoding that changed the same
+// way on both sides. A deliberate format change must bump the checkpoint
+// or partial version and re-pin these digests.
+TEST(ByteIdentityTest, StateBytesMatchPinnedDigest) {
+  using Digest = std::pair<std::size_t, std::uint64_t>;  // size, fnv1a
+  const auto digest = [](const std::uint8_t* data, std::size_t size) {
+    return Digest{size, common::fnv1a_bytes(data, size)};
+  };
+  const auto state_digest = [&](const analysis::Pipeline& p) {
+    common::BinWriter w;
+    p.snapshot(w);
+    return digest(w.bytes().data(), w.bytes().size());
+  };
+
+  analysis::Pipeline pipeline(shared_world());
+  load_pipeline(pipeline);
+  pipeline.sample_trends();
+  EXPECT_EQ(state_digest(pipeline),
+            (Digest{120194, 0xacb6e9c7aa11fc52ULL}));
+
+  // Two shards with disjoint samples (alternating), merged into a fresh
+  // pipeline.
+  analysis::Pipeline shards[2] = {analysis::Pipeline(shared_world()),
+                                  analysis::Pipeline(shared_world())};
+  world::TrafficConfig traffic;
+  traffic.seed = 0xabcd;
+  world::TrafficGenerator generator(shared_world(), traffic);
+  std::size_t n = 0;
+  generator.generate(400, [&](world::LabeledConnection&& conn) {
+    shards[n++ % 2].ingest(conn.sample);
+  });
+  analysis::Pipeline merged(shared_world());
+  merged.merge_from(shards[0]);
+  merged.merge_from(shards[1]);
+  EXPECT_EQ(state_digest(merged),
+            (Digest{113951, 0xd9153570b9259c8eULL}));
+
+  std::ostringstream json;
+  analysis::ReportOptions options;
+  options.pretty = false;
+  options.include_timeseries = true;
+  analysis::write_radar_report(json, pipeline, options);
+  const std::string report = json.str();
+  EXPECT_EQ(digest(reinterpret_cast<const std::uint8_t*>(report.data()), report.size()),
+            (Digest{14739, 0x920effb12dfc9f31ULL}));
 }
 
 }  // namespace
