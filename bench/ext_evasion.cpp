@@ -78,8 +78,7 @@ Outcome run_sessions(std::size_t count, bool evasive, std::uint64_t seed) {
     sample.client_port = client_cfg.port;
     sample.server_port = server_cfg.port;
     for (const auto& traced : result.server_inbound) {
-      if (sample.packets.size() >= 10) break;
-      sample.packets.push_back(capture::observe(traced.pkt));
+      sample.log(capture::observe(traced.pkt), traced.pkt.payload);
     }
     sample.observation_end_sec = static_cast<std::int64_t>(result.end_time);
 

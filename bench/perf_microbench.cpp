@@ -369,15 +369,14 @@ DerivedStats measure_derived() {
 
   // The logged record footprint (capture/sample.h): per connection the
   // 5-tuple + observation end (40 bytes), per packet the fixed observed
-  // fields (25 bytes) plus the retained payload.
+  // fields (25 bytes), plus the two retained payloads (first data packet,
+  // first SYN).
   constexpr std::uint64_t kConnectionOverhead = 40;
   constexpr std::uint64_t kPacketOverhead = 25;
   std::uint64_t bytes = 0;
-  for (const auto& sample : samples) {
-    bytes += kConnectionOverhead;
-    for (const auto& pkt : sample.packets)
-      bytes += kPacketOverhead + pkt.payload.size();
-  }
+  for (const auto& sample : samples)
+    bytes += kConnectionOverhead + kPacketOverhead * sample.packets.size() +
+             sample.data_payload.size() + sample.syn_payload.size();
   d.bytes_per_connection =
       static_cast<double>(bytes) / static_cast<double>(samples.size());
   return d;

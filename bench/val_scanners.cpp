@@ -31,7 +31,8 @@ int main(int argc, char** argv) {
         if (pkt.payload_len > 0) ++syn80_payload;
       } else if (conn.sample.server_port == 443) {
         ++syn443;
-        if (!pkt.payload.empty() && appproto::looks_like_client_hello(pkt.payload))
+        const auto& payload = conn.sample.syn_payload;
+        if (!payload.empty() && appproto::looks_like_client_hello(payload))
           ++syn443_hello;
       }
       break;

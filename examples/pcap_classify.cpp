@@ -28,23 +28,13 @@ std::string make_demo_capture() {
   world::World world;
   world::TrafficConfig traffic;
   traffic.seed = 0xdeca4;
+  traffic.keep_raw_inbound = true;  // the wire packets, not the capture record
   world::TrafficGenerator generator(world, traffic);
 
   std::ofstream out(path, std::ios::binary);
   net::PcapWriter writer(out);
   generator.generate(400, [&](world::LabeledConnection&& conn) {
-    for (const auto& observed : conn.sample.packets) {
-      // Reconstruct wire packets from the capture record.
-      net::Packet pkt = net::make_tcp_packet(conn.sample.client_ip,
-                                             conn.sample.client_port,
-                                             conn.sample.server_ip,
-                                             conn.sample.server_port, observed.flags,
-                                             observed.seq, observed.ack, observed.payload);
-      pkt.timestamp = static_cast<double>(observed.ts_sec);
-      pkt.ip.ttl = observed.ttl;
-      pkt.ip.ip_id = observed.ip_id;
-      writer.write(pkt);
-    }
+    for (const auto& pkt : conn.raw_inbound) writer.write(pkt);
   });
   std::cout << "wrote demo capture: " << path << " (" << writer.packets_written()
             << " packets)\n\n";

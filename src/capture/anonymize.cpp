@@ -44,12 +44,10 @@ void anonymize(ConnectionSample& sample, const AnonymizeConfig& config) {
         common::mix64(config.key ^ (std::uint64_t{sample.client_port} << 17)) & 0xffff);
   }
   if (config.strip_payloads) {
-    for (auto& pkt : sample.packets) {
-      pkt.payload.clear();
-      pkt.payload.shrink_to_fit();
-      // payload_len is retained: it is header-derived and classification
-      // (is_data, stage inference) depends on it.
-    }
+    // Each packet's payload_len is retained: it is header-derived and
+    // classification (is_data, stage inference) depends on it.
+    sample.data_payload = {};
+    sample.syn_payload = {};
   }
 }
 

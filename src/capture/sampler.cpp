@@ -1,18 +1,24 @@
 #include "capture/sampler.h"
 
 #include <cmath>
+#include <stdexcept>
 
 namespace tamper::capture {
+
+ConnectionSampler::ConnectionSampler(Config config) : config_(std::move(config)) {
+  if (config_.max_packets > kMaxLoggedPackets)
+    throw std::invalid_argument("ConnectionSampler: max_packets above kMaxLoggedPackets");
+}
 
 bool ConnectionSampler::should_sample(const FlowKey& key) const noexcept {
   if (config_.sample_one_in <= 1) return true;
   // Hash-based uniform sampling: deterministic per flow, unbiased across
   // flows, independent of arrival order.
-  const std::uint64_t h = common::mix64(FlowKeyHash{}(key) ^ config_.hash_salt);
+  const std::uint64_t h = common::mix64(key.hash ^ config_.hash_salt);
   return h % config_.sample_one_in == 0;
 }
 
-bool ConnectionSampler::is_malformed(const net::Packet& pkt) const noexcept {
+bool ConnectionSampler::is_malformed(const net::PacketView& pkt) const noexcept {
   if (pkt.tcp.src_port == 0 || pkt.tcp.dst_port == 0) return true;
   // Self-addressed 4-tuple (LAND-style) — no legitimate stack emits this.
   if (pkt.src == pkt.dst && pkt.tcp.src_port == pkt.tcp.dst_port) return true;
@@ -43,7 +49,7 @@ void ConnectionSampler::evict_for_overload(common::SimTime now) {
   ++stats_.flows_evicted_overload;
 }
 
-void ConnectionSampler::on_packet(const net::Packet& pkt, common::SimTime now) {
+void ConnectionSampler::on_packet(const net::PacketView& pkt, common::SimTime now) {
   ++stats_.packets_seen;
   if (config_.scrub && config_.scrub(pkt)) {
     ++stats_.packets_scrubbed;
@@ -53,7 +59,7 @@ void ConnectionSampler::on_packet(const net::Packet& pkt, common::SimTime now) {
     ++stats_.packets_malformed;
     return;
   }
-  const FlowKey key{pkt.src, pkt.dst, pkt.tcp.src_port, pkt.tcp.dst_port};
+  const FlowKey key(pkt);
   auto it = flows_.find(key);
   if (it == flows_.end()) {
     // Only a SYN opens a flow; anything else without flow state is a
@@ -64,21 +70,20 @@ void ConnectionSampler::on_packet(const net::Packet& pkt, common::SimTime now) {
     ++stats_.connections_sampled;
     if (config_.max_flows > 0 && flows_.size() >= config_.max_flows)
       evict_for_overload(now);
-    FlowState state;
+    it = flows_.try_emplace(key).first;
+    FlowState& state = it->second;
     state.sample.client_ip = pkt.src;
     state.sample.server_ip = pkt.dst;
     state.sample.client_port = pkt.tcp.src_port;
     state.sample.server_port = pkt.tcp.dst_port;
     state.sample.ip_version = pkt.src.version();
     state.lru_it = embryonic_lru_.insert(embryonic_lru_.end(), key);
-    it = flows_.emplace(key, std::move(state)).first;
   } else {
     FlowState& flow = it->second;
     if (flow.embryonic) {
       // Second packet: promote out of the SYN-flood eviction class.
-      embryonic_lru_.erase(flow.lru_it);
+      established_lru_.splice(established_lru_.end(), embryonic_lru_, flow.lru_it);
       flow.embryonic = false;
-      flow.lru_it = established_lru_.insert(established_lru_.end(), key);
     } else {
       established_lru_.splice(established_lru_.end(), established_lru_, flow.lru_it);
     }
@@ -86,7 +91,8 @@ void ConnectionSampler::on_packet(const net::Packet& pkt, common::SimTime now) {
   FlowState& flow = it->second;
   flow.last_seen = now;
   if (flow.full) return;
-  flow.sample.packets.push_back(observe(pkt, config_.keep_payloads));
+  flow.sample.log(observe(pkt), config_.keep_payloads ? pkt.payload
+                                                       : std::span<const std::uint8_t>{});
   if (flow.sample.packets.size() >= config_.max_packets) flow.full = true;
 }
 

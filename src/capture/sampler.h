@@ -23,7 +23,7 @@ class ConnectionSampler {
  public:
   struct Config {
     std::uint32_t sample_one_in = 10000;  ///< paper: 1 in 10,000 connections
-    std::size_t max_packets = 10;         ///< paper: first 10 packets
+    std::size_t max_packets = kMaxLoggedPackets;  ///< paper: first 10 packets
     bool keep_payloads = true;
     double flow_idle_timeout = 30.0;      ///< idle eviction horizon
     /// Hard bound on concurrently tracked flows; 0 = unbounded. When full,
@@ -35,14 +35,16 @@ class ConnectionSampler {
     std::size_t max_flows = 1 << 20;
     std::uint64_t hash_salt = 0x7a3d90c1b2e4f586ULL;
     /// DDoS scrubbing executed *before* sampling; return true to discard.
-    std::function<bool(const net::Packet&)> scrub;
+    std::function<bool(const net::PacketView&)> scrub;
   };
 
-  explicit ConnectionSampler(Config config) : config_(std::move(config)) {}
+  /// Throws std::invalid_argument when max_packets exceeds kMaxLoggedPackets.
+  explicit ConnectionSampler(Config config);
 
   /// Feed one inbound (client->server) packet. Packets that do not open a
   /// new flow and do not belong to a sampled flow are counted and dropped.
-  void on_packet(const net::Packet& pkt, common::SimTime now);
+  /// Copies what the record keeps; the view need not outlive the call.
+  void on_packet(const net::PacketView& pkt, common::SimTime now);
 
   /// Evict flows idle past the timeout, emitting their samples.
   [[nodiscard]] std::vector<ConnectionSample> drain_idle(common::SimTime now);
@@ -72,13 +74,23 @@ class ConnectionSampler {
     net::IpAddress server;
     std::uint16_t client_port;
     std::uint16_t server_port;
+    /// Hash of the four fields above, computed once per packet: the table
+    /// lookup, the sampling decision and the insert all reuse it.
+    std::uint64_t hash;
     bool operator==(const FlowKey&) const = default;
+
+    explicit FlowKey(const net::PacketView& pkt) noexcept
+        : client(pkt.src),
+          server(pkt.dst),
+          client_port(pkt.tcp.src_port),
+          server_port(pkt.tcp.dst_port),
+          hash(common::mix64(
+              client.hash() ^ common::mix64(server.hash()) ^
+              (static_cast<std::uint64_t>(client_port) << 16 | server_port))) {}
   };
   struct FlowKeyHash {
     std::size_t operator()(const FlowKey& k) const noexcept {
-      return static_cast<std::size_t>(
-          common::mix64(k.client.hash() ^ common::mix64(k.server.hash()) ^
-                        (static_cast<std::uint64_t>(k.client_port) << 16 | k.server_port)));
+      return static_cast<std::size_t>(k.hash);
     }
   };
   struct FlowState {
@@ -90,7 +102,7 @@ class ConnectionSampler {
   };
 
   [[nodiscard]] bool should_sample(const FlowKey& key) const noexcept;
-  [[nodiscard]] bool is_malformed(const net::Packet& pkt) const noexcept;
+  [[nodiscard]] bool is_malformed(const net::PacketView& pkt) const noexcept;
   /// Make room for one more flow; closes the victim into evicted_.
   void evict_for_overload(common::SimTime now);
   void unlink(FlowState& flow);

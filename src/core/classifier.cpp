@@ -1,7 +1,7 @@
 #include "core/classifier.h"
 
 #include <algorithm>
-#include <set>
+#include <stdexcept>
 
 namespace tamper::core {
 
@@ -18,56 +18,62 @@ int rank_of(const ObservedPacket& pkt) noexcept {
   return 1;  // ACK / data / FIN: ordered by (seq, kind, ack) below
 }
 
+/// Logical reconstruction: timestamps first (1 s buckets), then causality
+/// rank, then sequence numbers for data / ack numbers for pure ACKs.
+bool logically_before(const ObservedPacket& a, const ObservedPacket& b) noexcept {
+  if (a.ts_sec != b.ts_sec) return a.ts_sec < b.ts_sec;
+  const int ra = rank_of(a);
+  const int rb = rank_of(b);
+  if (ra != rb) return ra < rb;
+  if (ra != 1) return false;  // SYNs/RSTs keep arrival order
+  // Mid-connection packets: the client's own sequence number advances with
+  // its data, pure ACKs precede data sharing a seq (handshake ACK vs first
+  // PSH), and response ACKs order by cumulative ack.
+  if (a.seq != b.seq) return a.seq < b.seq;
+  if (a.is_data() != b.is_data()) return !a.is_data();
+  if (a.ack != b.ack) return a.ack < b.ack;
+  return false;
+}
+
 }  // namespace
 
-std::vector<const ObservedPacket*> order_packets(const capture::ConnectionSample& sample,
-                                                 const ClassifierConfig& config) {
-  std::vector<const ObservedPacket*> ordered;
-  ordered.reserve(sample.packets.size());
-  for (const auto& pkt : sample.packets) ordered.push_back(&pkt);
-
-  // Logical reconstruction: timestamps first (1 s buckets), then causality
-  // rank, then sequence numbers for data / ack numbers for pure ACKs.
-  // stable_sort keeps arrival order among tear-down packets, whose seq/ack
-  // values are injector-controlled and carry no ordering information.
-  if (config.reconstruct_order)
-    std::stable_sort(ordered.begin(), ordered.end(),
-                   [](const ObservedPacket* a, const ObservedPacket* b) {
-                     if (a->ts_sec != b->ts_sec) return a->ts_sec < b->ts_sec;
-                     const int ra = rank_of(*a);
-                     const int rb = rank_of(*b);
-                     if (ra != rb) return ra < rb;
-                     if (ra != 1) return false;  // SYNs/RSTs keep arrival order
-                     // Mid-connection packets: the client's own sequence
-                     // number advances with its data, pure ACKs precede data
-                     // sharing a seq (handshake ACK vs first PSH), and
-                     // response ACKs order by cumulative ack.
-                     if (a->seq != b->seq) return a->seq < b->seq;
-                     if (a->is_data() != b->is_data()) return !a->is_data();
-                     if (a->ack != b->ack) return a->ack < b->ack;
-                     return false;
-                   });
-
-  if (config.dedupe_retransmissions) {
-    // Collapse retransmissions (same flags/seq/ack/length) of SYNs, data and
-    // ACKs — with 1 s timestamps they carry no extra information. Tear-down
-    // packets are never collapsed: endpoints do not retransmit RSTs, so
-    // repeated identical RSTs are a genuine injector burst and the
-    // one-vs-many distinction is load-bearing for Table 1.
-    std::vector<const ObservedPacket*> unique;
-    unique.reserve(ordered.size());
-    for (const ObservedPacket* pkt : ordered) {
-      const bool duplicate =
-          !pkt->is_rst() &&
-          std::any_of(unique.begin(), unique.end(), [&](const ObservedPacket* seen) {
-            return seen->flags == pkt->flags && seen->seq == pkt->seq &&
-                   seen->ack == pkt->ack && seen->payload_len == pkt->payload_len;
-          });
-      if (!duplicate) unique.push_back(pkt);
-    }
-    return unique;
+OrderedPackets order_packets(const capture::ConnectionSample& sample,
+                             const ClassifierConfig& config) {
+  // Stable insertion sort of at most kMaxLoggedPackets entries: it keeps
+  // arrival order among tear-down packets, whose seq/ack values are
+  // injector-controlled and carry no ordering information.
+  OrderedPackets ordered;
+  for (const ObservedPacket& pkt : sample.packets) {
+    std::size_t at = ordered.size();
+    ordered.push_back(&pkt);
+    if (!config.reconstruct_order) continue;
+    for (; at > 0 && logically_before(pkt, *ordered[at - 1]); --at)
+      ordered[at] = ordered[at - 1];
+    ordered[at] = &pkt;
   }
-  return ordered;
+  if (!config.dedupe_retransmissions) return ordered;
+
+  // Collapse retransmissions (same flags/seq/ack/length) of SYNs, data and
+  // ACKs — with 1 s timestamps they carry no extra information. Tear-down
+  // packets are never collapsed: endpoints do not retransmit RSTs, so
+  // repeated identical RSTs are a genuine injector burst and the
+  // one-vs-many distinction is load-bearing for Table 1.
+  OrderedPackets unique;
+  for (const ObservedPacket* pkt : ordered) {
+    const bool duplicate =
+        !pkt->is_rst() &&
+        std::any_of(unique.begin(), unique.end(), [&](const ObservedPacket* seen) {
+          return seen->flags == pkt->flags && seen->seq == pkt->seq &&
+                 seen->ack == pkt->ack && seen->payload_len == pkt->payload_len;
+        });
+    if (!duplicate) unique.push_back(pkt);
+  }
+  return unique;
+}
+
+SignatureClassifier::SignatureClassifier(ClassifierConfig config) : config_(config) {
+  if (config_.max_packets > capture::kMaxLoggedPackets)
+    throw std::invalid_argument("SignatureClassifier: max_packets above kMaxLoggedPackets");
 }
 
 Classification SignatureClassifier::classify(const capture::ConnectionSample& sample) const {
@@ -160,7 +166,8 @@ Classification SignatureClassifier::classify(const capture::ConnectionSample& sa
   // ---- Y: tear-down packets from the anomaly onward ----
   std::uint32_t n_rst = 0, n_rst_ack = 0;
   bool first_teardown_is_plain = false;
-  std::vector<std::uint32_t> plain_rst_acks;  // ACK numbers of bare RSTs
+  // ACK numbers of bare RSTs.
+  common::InlineVec<std::uint32_t, capture::kMaxLoggedPackets> plain_rst_acks;
   for (std::size_t i = std::min(anomaly, n); i < n; ++i) {
     const ObservedPacket& pkt = *ordered[i];
     if (!pkt.is_rst()) continue;

@@ -11,9 +11,9 @@
 
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "capture/sample.h"
+#include "common/inline_vec.h"
 #include "core/signature.h"
 
 namespace tamper::core {
@@ -25,7 +25,8 @@ struct ClassifierConfig {
   std::int64_t inactivity_seconds = 3;
   /// Samples with this many packets are truncated captures: trailing silence
   /// after them says nothing about the connection (paper logs 10 packets).
-  std::size_t max_packets = 10;
+  /// At most capture::kMaxLoggedPackets.
+  std::size_t max_packets = capture::kMaxLoggedPackets;
   /// Collapse retransmissions (same flags/seq/length) before analysis.
   bool dedupe_retransmissions = true;
   /// Reconstruct logical order from flags/seq within timestamp buckets
@@ -52,15 +53,21 @@ struct Classification {
   std::size_t first_teardown_index = static_cast<std::size_t>(-1);
 };
 
+/// A sample's packets in logical order; the pointers alias
+/// `sample.packets`.
+using OrderedPackets =
+    common::InlineVec<const capture::ObservedPacket*, capture::kMaxLoggedPackets>;
+
 /// Reconstruct logical packet order from 1-second timestamps, TCP flags and
-/// sequence numbers (§3.2), collapsing retransmissions. The returned
-/// pointers alias `sample.packets`.
-[[nodiscard]] std::vector<const capture::ObservedPacket*> order_packets(
-    const capture::ConnectionSample& sample, const ClassifierConfig& config = {});
+/// sequence numbers (§3.2), collapsing retransmissions.
+[[nodiscard]] OrderedPackets order_packets(const capture::ConnectionSample& sample,
+                                           const ClassifierConfig& config = {});
 
 class SignatureClassifier {
  public:
-  explicit SignatureClassifier(ClassifierConfig config = {}) : config_(config) {}
+  /// Throws std::invalid_argument when config.max_packets exceeds
+  /// capture::kMaxLoggedPackets.
+  explicit SignatureClassifier(ClassifierConfig config = {});
 
   [[nodiscard]] Classification classify(const capture::ConnectionSample& sample) const;
 

@@ -95,9 +95,9 @@ capture::ConnectionSample OverloadGenerator::make_flow_sample(common::SimTime at
   data.ack = 1;
   data.window = 64240;
   data.ttl = 57;
-  data.payload = http_get_payload(flow);
-  data.payload_len = static_cast<std::uint16_t>(data.payload.size());
-  s.packets.push_back(data);
+  const std::vector<std::uint8_t> payload = http_get_payload(flow);
+  data.payload_len = static_cast<std::uint16_t>(payload.size());
+  s.log(data, payload);
 
   s.observation_end_sec = ts + 4;
   return s;

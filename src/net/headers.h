@@ -53,8 +53,8 @@ struct TcpOption {
   [[nodiscard]] static TcpOption nop_opt();
 };
 
-/// Parsed TCP header (without payload).
-struct TcpHeader {
+/// The fixed 20-byte part of a TCP header: what a header view carries.
+struct TcpFields {
   std::uint16_t src_port = 0;
   std::uint16_t dst_port = 0;
   std::uint32_t seq = 0;
@@ -62,7 +62,6 @@ struct TcpHeader {
   std::uint8_t flags = 0;
   std::uint16_t window = 65535;
   std::uint16_t urgent_pointer = 0;
-  std::vector<TcpOption> options;
 
   [[nodiscard]] bool has(std::uint8_t flag_bits) const noexcept {
     return (flags & flag_bits) == flag_bits;
@@ -74,6 +73,13 @@ struct TcpHeader {
     return has(tcpflag::kSyn) && has(tcpflag::kAck);
   }
   [[nodiscard]] bool is_rst() const noexcept { return has(tcpflag::kRst); }
+};
+
+/// Parsed TCP header (without payload): the fixed fields plus the decoded
+/// options.
+struct TcpHeader : TcpFields {
+  std::vector<TcpOption> options;
+
   /// Size of the encoded options block in bytes, padded to a 4-byte multiple.
   [[nodiscard]] std::size_t options_wire_size() const;
   [[nodiscard]] std::size_t header_size() const { return 20 + options_wire_size(); }

@@ -1,6 +1,8 @@
 #include "net/packet.h"
 
+#include <array>
 #include <cstdio>
+#include <stdexcept>
 
 #include "net/checksum.h"
 
@@ -70,62 +72,86 @@ void encode_options(std::vector<std::uint8_t>& out, const std::vector<TcpOption>
   while ((out.size() - start) % 4 != 0) out.push_back(0);  // pad with EOL
 }
 
-bool decode_options(std::span<const std::uint8_t> block, std::vector<TcpOption>& out) {
+/// Wire length of the fixed-size option kinds; 0 for the variable-length
+/// ones.
+std::size_t fixed_length(std::uint8_t kind) noexcept {
+  switch (static_cast<TcpOptionKind>(kind)) {
+    case TcpOptionKind::kMss:
+      return 4;
+    case TcpOptionKind::kWindowScale:
+      return 3;
+    case TcpOptionKind::kSackPermitted:
+      return 2;
+    case TcpOptionKind::kTimestamps:
+      return 10;
+    case TcpOptionKind::kEnd:
+    case TcpOptionKind::kNop:
+    case TcpOptionKind::kSack:
+    default:
+      return 0;
+  }
+}
+
+/// Walks a TCP options block and hands each option to `emit(kind, body)`,
+/// `body` being the bytes after its kind and length bytes. Returns the
+/// number of options, or nullopt when the block is malformed: a length
+/// running past the block, a length under the 2-byte preamble, a wrong
+/// length for a fixed-size kind, or more options than fit a real block.
+template <typename Emit>
+std::optional<std::size_t> walk_options(std::span<const std::uint8_t> block, Emit&& emit) {
   // A TCP options block is at most 40 bytes, so no well-formed segment
   // carries more options than this; anything past it is hostile garbage.
   constexpr std::size_t kMaxOptions = 64;
+  std::size_t count = 0;
   std::size_t i = 0;
   while (i < block.size()) {
-    if (out.size() >= kMaxOptions) return false;
+    if (count >= kMaxOptions) return std::nullopt;
     const std::uint8_t kind = block[i];
     if (kind == 0) break;  // End of option list
+    ++count;
     if (kind == 1) {
-      out.push_back(TcpOption::nop_opt());
+      emit(kind, block.subspan(i + 1, 0));
       ++i;
       continue;
     }
-    if (i + 1 >= block.size()) return false;
+    if (i + 1 >= block.size()) return std::nullopt;
     // The attacker controls this length byte: every use below must stay
     // inside `block`, and a length under the 2-byte kind+len preamble
     // would loop forever.
     const std::uint8_t len = block[i + 1];
-    if (len < 2 || i + len > block.size()) return false;
-    TcpOption o;
-    switch (static_cast<TcpOptionKind>(kind)) {
-      case TcpOptionKind::kMss:
-        if (len != 4) return false;
-        o = TcpOption::mss_opt(get16(block, i + 2));
-        break;
-      case TcpOptionKind::kWindowScale:
-        if (len != 3) return false;
-        o = TcpOption::window_scale_opt(block[i + 2]);
-        break;
-      case TcpOptionKind::kSackPermitted:
-        if (len != 2) return false;
-        o = TcpOption::sack_permitted_opt();
-        break;
-      case TcpOptionKind::kTimestamps:
-        if (len != 10) return false;
-        o = TcpOption::timestamps_opt(get32(block, i + 2), get32(block, i + 6));
-        break;
-      case TcpOptionKind::kSack:
-        o.kind = TcpOptionKind::kSack;
-        o.raw.assign(block.begin() + static_cast<std::ptrdiff_t>(i + 2),
-                     block.begin() + static_cast<std::ptrdiff_t>(i + len));
-        break;
-      case TcpOptionKind::kEnd:  // both consumed above, never reach here
-      case TcpOptionKind::kNop:
-      default:
-        // Unknown option: preserve raw bytes so round-trips don't lose data.
-        o.kind = static_cast<TcpOptionKind>(kind);
-        o.raw.assign(block.begin() + static_cast<std::ptrdiff_t>(i + 2),
-                     block.begin() + static_cast<std::ptrdiff_t>(i + len));
-        break;
-    }
-    out.push_back(std::move(o));
+    if (len < 2 || i + len > block.size()) return std::nullopt;
+    if (const std::size_t want = fixed_length(kind); want != 0 && len != want)
+      return std::nullopt;
+    emit(kind, block.subspan(i + 2, len - 2u));
     i += len;
   }
-  return true;
+  return count;
+}
+
+/// One option walk_options() accepted.
+TcpOption decode_option(std::uint8_t kind, std::span<const std::uint8_t> body) {
+  switch (static_cast<TcpOptionKind>(kind)) {
+    case TcpOptionKind::kNop:
+      return TcpOption::nop_opt();
+    case TcpOptionKind::kMss:
+      return TcpOption::mss_opt(get16(body, 0));
+    case TcpOptionKind::kWindowScale:
+      return TcpOption::window_scale_opt(body[0]);
+    case TcpOptionKind::kSackPermitted:
+      return TcpOption::sack_permitted_opt();
+    case TcpOptionKind::kTimestamps:
+      return TcpOption::timestamps_opt(get32(body, 0), get32(body, 4));
+    case TcpOptionKind::kEnd:  // ends the walk, never emitted
+    case TcpOptionKind::kSack:
+    default:
+      break;
+  }
+  // SACK and unknown options: preserve raw bytes so round-trips don't lose
+  // data.
+  TcpOption o;
+  o.kind = static_cast<TcpOptionKind>(kind);
+  o.raw.assign(body.begin(), body.end());
+  return o;
 }
 
 }  // namespace
@@ -194,12 +220,21 @@ std::vector<std::uint8_t> serialize(const Packet& pkt) {
   return out;
 }
 
-std::optional<ParseResult> parse(std::span<const std::uint8_t> bytes,
-                                 common::SimTime timestamp) {
+PacketView::PacketView(const Packet& pkt) noexcept
+    : timestamp(pkt.timestamp),
+      src(pkt.src),
+      dst(pkt.dst),
+      ip(pkt.ip),
+      tcp(pkt.tcp),
+      has_tcp_options(!pkt.tcp.options.empty()),
+      payload(pkt.payload) {}
+
+std::optional<PacketView> parse_view(std::span<const std::uint8_t> bytes,
+                                     common::SimTime timestamp) {
   if (bytes.size() < 20) return std::nullopt;
-  ParseResult result;
-  Packet& pkt = result.packet;
-  pkt.timestamp = timestamp;
+  std::optional<PacketView> out(std::in_place);
+  PacketView& view = *out;
+  view.timestamp = timestamp;
 
   std::size_t l4_offset = 0;
   const std::uint8_t version = bytes[0] >> 4;
@@ -209,13 +244,13 @@ std::optional<ParseResult> parse(std::span<const std::uint8_t> bytes,
     const std::uint16_t total_len = get16(bytes, 2);
     if (total_len < ihl || total_len > bytes.size()) return std::nullopt;
     if (bytes[9] != 6) return std::nullopt;  // not TCP
-    pkt.ip.dscp = static_cast<std::uint8_t>(bytes[1] >> 2);
-    pkt.ip.ip_id = get16(bytes, 4);
-    pkt.ip.dont_fragment = (bytes[6] & 0x40) != 0;
-    pkt.ip.ttl = bytes[8];
-    pkt.src = IpAddress::v4(get32(bytes, 12));
-    pkt.dst = IpAddress::v4(get32(bytes, 16));
-    result.ip_checksum_ok = checksum_fold(bytes.first(ihl)) == 0xffff;
+    view.ip.dscp = static_cast<std::uint8_t>(bytes[1] >> 2);
+    view.ip.ip_id = get16(bytes, 4);
+    view.ip.dont_fragment = (bytes[6] & 0x40) != 0;
+    view.ip.ttl = bytes[8];
+    view.src = IpAddress::v4(get32(bytes, 12));
+    view.dst = IpAddress::v4(get32(bytes, 16));
+    view.ip_checksum_ok = checksum_fold(bytes.first(ihl)) == 0xffff;
     l4_offset = ihl;
     bytes = bytes.first(total_len);
   } else if (version == 6) {
@@ -223,16 +258,16 @@ std::optional<ParseResult> parse(std::span<const std::uint8_t> bytes,
     const std::uint16_t payload_len = get16(bytes, 4);
     if (bytes.size() < 40u + payload_len) return std::nullopt;
     if (bytes[6] != 6) return std::nullopt;  // extension headers unsupported
-    pkt.ip.dscp = static_cast<std::uint8_t>(((bytes[0] & 0x0f) << 2) | (bytes[1] >> 6));
-    pkt.ip.ip_id = 0;
-    pkt.ip.ttl = bytes[7];
+    view.ip.dscp = static_cast<std::uint8_t>(((bytes[0] & 0x0f) << 2) | (bytes[1] >> 6));
+    view.ip.ip_id = 0;
+    view.ip.ttl = bytes[7];
     std::array<std::uint8_t, 16> sb{}, db{};
     for (std::size_t i = 0; i < 16; ++i) {
       sb[i] = bytes[8 + i];
       db[i] = bytes[24 + i];
     }
-    pkt.src = IpAddress::v6(sb);
-    pkt.dst = IpAddress::v6(db);
+    view.src = IpAddress::v6(sb);
+    view.dst = IpAddress::v6(db);
     l4_offset = 40;
     bytes = bytes.first(40u + payload_len);
   } else {
@@ -241,7 +276,7 @@ std::optional<ParseResult> parse(std::span<const std::uint8_t> bytes,
 
   const auto seg = bytes.subspan(l4_offset);
   if (seg.size() < 20) return std::nullopt;
-  TcpHeader& tcp = pkt.tcp;
+  TcpFields& tcp = view.tcp;
   tcp.src_port = get16(seg, 0);
   tcp.dst_port = get16(seg, 2);
   tcp.seq = get32(seg, 4);
@@ -251,10 +286,37 @@ std::optional<ParseResult> parse(std::span<const std::uint8_t> bytes,
   tcp.flags = seg[13];
   tcp.window = get16(seg, 14);
   tcp.urgent_pointer = get16(seg, 18);
-  if (!decode_options(seg.subspan(20, data_offset - 20), tcp.options)) return std::nullopt;
-  pkt.payload.assign(seg.begin() + static_cast<std::ptrdiff_t>(data_offset), seg.end());
-  result.tcp_checksum_ok = tcp_checksum(pkt.src, pkt.dst, seg) == 0;
-  return result;
+  view.tcp_options = seg.subspan(20, data_offset - 20);
+  const auto options = walk_options(view.tcp_options, [](std::uint8_t, auto) {});
+  if (!options) return std::nullopt;
+  view.has_tcp_options = *options > 0;
+  view.payload = seg.subspan(data_offset);
+  view.tcp_checksum_ok = tcp_checksum(view.src, view.dst, seg) == 0;
+  return out;
+}
+
+Packet to_packet(const PacketView& view) {
+  if (view.has_tcp_options && view.tcp_options.empty())
+    throw std::invalid_argument("to_packet: a view of a Packet has no option bytes");
+  Packet pkt;
+  pkt.timestamp = view.timestamp;
+  pkt.src = view.src;
+  pkt.dst = view.dst;
+  pkt.ip = view.ip;
+  static_cast<TcpFields&>(pkt.tcp) = view.tcp;
+  walk_options(view.tcp_options,
+               [&](std::uint8_t kind, std::span<const std::uint8_t> body) {
+                 pkt.tcp.options.push_back(decode_option(kind, body));
+               });
+  pkt.payload.assign(view.payload.begin(), view.payload.end());
+  return pkt;
+}
+
+std::optional<ParseResult> parse(std::span<const std::uint8_t> bytes,
+                                 common::SimTime timestamp) {
+  const auto view = parse_view(bytes, timestamp);
+  if (!view) return std::nullopt;
+  return ParseResult{to_packet(*view), view->ip_checksum_ok, view->tcp_checksum_ok};
 }
 
 Packet make_tcp_packet(const IpAddress& src, std::uint16_t sport, const IpAddress& dst,

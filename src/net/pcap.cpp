@@ -110,17 +110,18 @@ std::uint32_t PcapReader::record_cap() const noexcept {
   return std::min(kMaxRecordBytes, std::max(snaplen_, 65535u));
 }
 
+std::uint32_t PcapReader::field(const unsigned char* hdr, std::size_t off) const noexcept {
+  const std::uint32_t v = static_cast<std::uint32_t>(hdr[off]) |
+                          (static_cast<std::uint32_t>(hdr[off + 1]) << 8) |
+                          (static_cast<std::uint32_t>(hdr[off + 2]) << 16) |
+                          (static_cast<std::uint32_t>(hdr[off + 3]) << 24);
+  return swap_ ? swap32(v) : v;
+}
+
 bool PcapReader::plausible_record(const unsigned char* hdr) const noexcept {
-  const auto u32 = [&](std::size_t off) {
-    std::uint32_t v = static_cast<std::uint32_t>(hdr[off]) |
-                      (static_cast<std::uint32_t>(hdr[off + 1]) << 8) |
-                      (static_cast<std::uint32_t>(hdr[off + 2]) << 16) |
-                      (static_cast<std::uint32_t>(hdr[off + 3]) << 24);
-    return swap_ ? swap32(v) : v;
-  };
-  const std::uint32_t secs = u32(0);
-  const std::uint32_t caplen = u32(8);
-  const std::uint32_t origlen = u32(12);
+  const std::uint32_t secs = field(hdr, 0);
+  const std::uint32_t caplen = field(hdr, 8);
+  const std::uint32_t origlen = field(hdr, 12);
   if (caplen == 0 || caplen > record_cap()) return false;
   if (origlen < caplen || origlen > kMaxRecordBytes) return false;
   if (have_good_secs_) {
@@ -135,7 +136,8 @@ bool PcapReader::plausible_record(const unsigned char* hdr) const noexcept {
 bool PcapReader::resync() {
   // The stream is positioned just past a corrupt 16-byte record header.
   // Scan forward for the next offset whose bytes look like a record header
-  // whose *following* record header (or EOF) is also plausible.
+  // whose *following* record header (or EOF) is also plausible. The scan
+  // window is the reused frame buffer: a skip allocates nothing.
   in_.clear();
   const std::streampos scan_start = in_.tellg();
   if (scan_start == std::streampos(-1)) {
@@ -143,44 +145,41 @@ bool PcapReader::resync() {
     ++stats_.resync_failures;
     return false;
   }
-  std::vector<unsigned char> window(kResyncWindowBytes);
-  in_.read(reinterpret_cast<char*>(window.data()),
-           static_cast<std::streamsize>(window.size()));
+  if (buf_.size() < kResyncWindowBytes) buf_.resize(kResyncWindowBytes);
+  const unsigned char* window = buf_.data();
+  in_.read(reinterpret_cast<char*>(buf_.data()),
+           static_cast<std::streamsize>(kResyncWindowBytes));
   const std::size_t got = static_cast<std::size_t>(in_.gcount());
-  if (got >= 16) {
-    for (std::size_t off = 0; off + 16 <= got; ++off) {
-      if (!plausible_record(window.data() + off)) continue;
-      const auto u32 = [&](std::size_t o) {
-        std::uint32_t v = static_cast<std::uint32_t>(window[off + o]) |
-                          (static_cast<std::uint32_t>(window[off + o + 1]) << 8) |
-                          (static_cast<std::uint32_t>(window[off + o + 2]) << 16) |
-                          (static_cast<std::uint32_t>(window[off + o + 3]) << 24);
-        return swap_ ? swap32(v) : v;
-      };
-      const std::size_t next_hdr = off + 16 + u32(8);
-      // Confirm with the following record when it is inside the window;
-      // a record running past the window (or to EOF) is accepted as-is.
-      if (next_hdr + 16 <= got && !plausible_record(window.data() + next_hdr)) continue;
-      in_.clear();
-      in_.seekg(scan_start + static_cast<std::streamoff>(off));
-      ++stats_.resyncs;
-      return true;
-    }
+  for (std::size_t off = 0; off + 16 <= got; ++off) {
+    if (!plausible_record(window + off)) continue;
+    const std::size_t next_hdr = off + 16 + field(window + off, 8);
+    // Confirm with the following record when it is inside the window;
+    // a record running past the window (or to EOF) is accepted as-is.
+    if (next_hdr + 16 <= got && !plausible_record(window + next_hdr)) continue;
+    in_.clear();
+    in_.seekg(scan_start + static_cast<std::streamoff>(off));
+    ++stats_.resyncs;
+    return true;
   }
   exhausted_ = true;
   ++stats_.resync_failures;
   return false;
 }
 
-std::optional<Packet> PcapReader::next() {
+std::optional<PacketView> PcapReader::next() {
   while (!exhausted_) {
-    std::uint32_t secs = 0, subsecs = 0, caplen = 0, origlen = 0;
-    if (!read_u32(in_, swap_, secs)) return std::nullopt;
-    if (!read_u32(in_, swap_, subsecs) || !read_u32(in_, swap_, caplen) ||
-        !read_u32(in_, swap_, origlen)) {
-      ++stats_.skipped_truncated;  // partial trailing record header
+    // Straight from the stream buffer: one call per record header and one
+    // per body, without an istream sentry around each.
+    std::streambuf& src = *in_.rdbuf();
+    std::array<unsigned char, 16> hdr{};
+    const auto got = src.sgetn(reinterpret_cast<char*>(hdr.data()), hdr.size());
+    if (got < 16) {
+      if (got >= 4) ++stats_.skipped_truncated;  // partial trailing record header
       return std::nullopt;
     }
+    const std::uint32_t secs = field(hdr.data(), 0);
+    const std::uint32_t subsecs = field(hdr.data(), 4);
+    const std::uint32_t caplen = field(hdr.data(), 8);
     if (caplen > record_cap()) {
       // Hostile incl_len: never allocate it. Strict treats the file as
       // corrupt; lenient skips and hunts for the next record boundary.
@@ -190,9 +189,8 @@ std::optional<Packet> PcapReader::next() {
       if (!resync()) return std::nullopt;
       continue;
     }
-    std::vector<std::uint8_t> frame(caplen);
-    if (!in_.read(reinterpret_cast<char*>(frame.data()),
-                  static_cast<std::streamsize>(caplen))) {
+    if (buf_.size() < caplen) buf_.resize(caplen);
+    if (src.sgetn(reinterpret_cast<char*>(buf_.data()), caplen) < caplen) {
       ++stats_.skipped_truncated;
       return std::nullopt;
     }
@@ -200,7 +198,9 @@ std::optional<Packet> PcapReader::next() {
     const double ts = static_cast<double>(secs) +
                       static_cast<double>(subsecs) * (nanos_ ? 1e-9 : 1e-6);
 
-    std::span<const std::uint8_t> ip_bytes{frame};
+    // Only this record's bytes: the buffer may still hold a longer frame's
+    // tail past them.
+    std::span<const std::uint8_t> frame(buf_.data(), caplen);
     if (linktype_ == kLinktypeEthernet) {
       if (frame.size() < 14) {
         ++stats_.skipped_unparseable;
@@ -211,16 +211,16 @@ std::optional<Packet> PcapReader::next() {
         ++stats_.skipped_unparseable;
         continue;
       }
-      ip_bytes = ip_bytes.subspan(14);
+      frame = frame.subspan(14);
     }
-    auto parsed = parse(ip_bytes, ts);
-    if (!parsed) {
+    auto view = parse_view(frame, ts);
+    if (!view) {
       ++stats_.skipped_unparseable;
       continue;
     }
     have_good_secs_ = true;
     last_good_secs_ = secs;
-    return std::move(parsed->packet);
+    return view;
   }
   return std::nullopt;
 }
@@ -237,7 +237,7 @@ std::vector<Packet> read_pcap_file(const std::string& path) {
   if (!in) throw std::runtime_error("pcap: cannot open for reading: " + path);
   PcapReader reader(in);
   std::vector<Packet> out;
-  while (auto pkt = reader.next()) out.push_back(std::move(*pkt));
+  while (auto view = reader.next()) out.push_back(to_packet(*view));
   return out;
 }
 

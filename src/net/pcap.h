@@ -70,9 +70,11 @@ class PcapReader {
   /// the reader.
   explicit PcapReader(std::istream& in, PcapReadMode mode = PcapReadMode::kStrict);
 
-  /// Next parseable TCP/IP packet, skipping non-IP or truncated frames.
-  /// nullopt at end of file.
-  [[nodiscard]] std::optional<Packet> next();
+  /// Header view of the next parseable TCP/IP packet, skipping non-IP or
+  /// truncated frames; nullopt at end of file. The view's spans alias the
+  /// reader's one reused frame buffer: they stay valid until the next
+  /// next() call (net::to_packet() makes an owning copy).
+  [[nodiscard]] std::optional<PacketView> next();
 
   [[nodiscard]] std::uint32_t linktype() const noexcept { return linktype_; }
   [[nodiscard]] std::uint64_t frames_read() const noexcept { return stats_.frames_read; }
@@ -104,6 +106,9 @@ class PcapReader {
   /// Scan forward for the next plausible record header (lenient mode).
   [[nodiscard]] bool resync();
   [[nodiscard]] bool plausible_record(const unsigned char* hdr) const noexcept;
+  /// The little-endian (or, in a swapped file, big-endian) u32 at `off`.
+  [[nodiscard]] std::uint32_t field(const unsigned char* hdr,
+                                    std::size_t off) const noexcept;
 
   std::istream& in_;
   PcapReadMode mode_;
@@ -116,6 +121,9 @@ class PcapReader {
   std::uint32_t last_good_secs_ = 0;
   Stats stats_;
   std::string error_;
+  /// The current record's bytes, and resync()'s scan window. Grows to the
+  /// largest record (or the window) seen and is never shrunk.
+  std::vector<std::uint8_t> buf_ = std::vector<std::uint8_t>(65535);
 };
 
 /// Convenience: write all packets to a file path.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "appproto/http.h"
 #include "appproto/tls.h"
@@ -14,7 +15,11 @@ namespace tamper::world {
 using appproto::AppProtocol;
 
 TrafficGenerator::TrafficGenerator(const World& world, TrafficConfig config)
-    : world_(world), config_(config), rng_(config.seed) {}
+    : world_(world), config_(config), rng_(config.seed) {
+  if (config_.max_logged_packets > capture::kMaxLoggedPackets)
+    throw std::invalid_argument(
+        "TrafficGenerator: max_logged_packets above kMaxLoggedPackets");
+}
 
 tcp::ClientKind TrafficGenerator::roll_client_kind(bool& scanner) {
   double roll = rng_.uniform();
@@ -249,8 +254,7 @@ LabeledConnection TrafficGenerator::generate_pinned(int country_index, common::S
   sample.ip_version = truth.ipv6 ? net::IpVersion::kV6 : net::IpVersion::kV4;
   for (const auto& traced : result.server_inbound) {
     if (sample.packets.size() >= config_.max_logged_packets) break;
-    sample.packets.push_back(
-        capture::observe(traced.pkt, /*keep_payload=*/true, config_.timestamp_scale));
+    sample.log(capture::observe(traced.pkt, config_.timestamp_scale), traced.pkt.payload);
   }
   sample.observation_end_sec =
       static_cast<std::int64_t>(std::floor(result.end_time * config_.timestamp_scale));

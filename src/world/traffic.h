@@ -67,7 +67,9 @@ struct TrafficConfig {
   double tls_continuation_prob = 0.55; ///< client records after ClientHello
 
   // ---- Capture-pipeline knobs (paper defaults; ablation studies vary them) ----
-  std::size_t max_logged_packets = 10;   ///< first-N packets per connection
+  /// First-N packets per connection, at most capture::kMaxLoggedPackets
+  /// (TrafficGenerator throws std::invalid_argument above it).
+  std::size_t max_logged_packets = capture::kMaxLoggedPackets;
   double timestamp_scale = 1.0;          ///< log ticks per second (1 = paper)
   bool keep_raw_inbound = false;         ///< retain wire packets on LabeledConnection
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "capture/sampler.h"
 
 namespace tamper::capture {
@@ -34,15 +36,22 @@ TEST(Observe, CapturesHeaderFieldsAndQuantizesTime) {
   EXPECT_EQ(observed.ttl, 55);
   EXPECT_EQ(observed.ip_id, 77);
   EXPECT_EQ(observed.payload_len, 42);
-  EXPECT_EQ(observed.payload.size(), 42u);
+  ConnectionSample sample;
+  sample.log(observed, pkt.payload);
+  EXPECT_EQ(sample.data_payload.size(), 42u);
 }
 
 TEST(Observe, CanDropPayloads) {
-  const net::Packet pkt =
-      packet(net::IpAddress::v4(11, 0, 0, 2), 40000, kPsh | kAck, 1, 5.0, 10);
-  const ObservedPacket observed = observe(pkt, /*keep_payload=*/false);
-  EXPECT_EQ(observed.payload_len, 10);
-  EXPECT_TRUE(observed.payload.empty());
+  ConnectionSampler::Config config = sample_everything();
+  config.keep_payloads = false;
+  ConnectionSampler sampler(config);
+  const auto client = net::IpAddress::v4(11, 0, 0, 2);
+  sampler.on_packet(packet(client, 40000, kSyn, 0, 5.0), 5.0);
+  sampler.on_packet(packet(client, 40000, kPsh | kAck, 1, 5.0, 10), 5.0);
+  const auto samples = sampler.flush_all(10.0);
+  ASSERT_EQ(samples.size(), 1u);
+  EXPECT_EQ(samples[0].packets[1].payload_len, 10);
+  EXPECT_EQ(samples[0].first_data_payload(), nullptr);
 }
 
 TEST(ObservedPacket, FlagPredicates) {
@@ -62,6 +71,14 @@ TEST(ObservedPacket, FlagPredicates) {
   p.payload_len = 5;
   EXPECT_FALSE(p.is_pure_ack());
   EXPECT_TRUE(p.is_data());
+}
+
+TEST(Sampler, RejectsMaxPacketsAboveRecordCapacity) {
+  ConnectionSampler::Config config = sample_everything();
+  config.max_packets = kMaxLoggedPackets + 1;
+  EXPECT_THROW(ConnectionSampler{config}, std::invalid_argument);
+  config.max_packets = kMaxLoggedPackets;
+  EXPECT_NO_THROW(ConnectionSampler{config});
 }
 
 TEST(Sampler, FlowOpensOnlyOnSyn) {
@@ -121,7 +138,7 @@ TEST(Sampler, SamplingIsDeterministicPerFlow) {
 
 TEST(Sampler, ScrubRunsBeforeSampling) {
   ConnectionSampler::Config config = sample_everything();
-  config.scrub = [](const net::Packet& pkt) { return pkt.tcp.options.empty(); };
+  config.scrub = [](const net::PacketView& pkt) { return !pkt.has_tcp_options; };
   ConnectionSampler sampler(config);
   auto optionless = packet(net::IpAddress::v4(11, 0, 0, 2), 40000, kSyn, 0, 1.0);
   sampler.on_packet(optionless, 1.0);
@@ -280,15 +297,53 @@ TEST(ConnectionSample, FirstDataPayloadFindsRequest) {
   syn.flags = kSyn;
   ObservedPacket data;
   data.flags = kPsh | kAck;
-  data.payload = {'G', 'E', 'T'};
   data.payload_len = 3;
-  sample.packets = {syn, data};
+  const std::vector<std::uint8_t> get = {'G', 'E', 'T'};
+  sample.log(syn);
+  sample.log(data, get);
   ASSERT_NE(sample.first_data_payload(), nullptr);
   EXPECT_EQ(sample.first_data_payload()->size(), 3u);
 
   ConnectionSample no_data;
   no_data.packets = {syn};
   EXPECT_EQ(no_data.first_data_payload(), nullptr);
+}
+
+TEST(ConnectionSample, LoggingPastCapacityKeepsTheFirstPackets) {
+  ConnectionSample sample;
+  ObservedPacket syn;
+  syn.flags = kSyn;
+  sample.log(syn);
+  for (std::uint32_t i = 1; i < 15; ++i) {
+    ObservedPacket ack;
+    ack.flags = kAck;
+    ack.seq = i;
+    sample.log(ack);
+  }
+  ASSERT_EQ(sample.packets.size(), kMaxLoggedPackets);
+  EXPECT_TRUE(sample.packets.front().is_syn());
+  EXPECT_EQ(sample.packets.back().seq, kMaxLoggedPackets - 1);
+  // A data packet past capacity is dropped with its payload.
+  ObservedPacket data;
+  data.flags = kPsh | kAck;
+  data.payload_len = 3;
+  const std::vector<std::uint8_t> get = {'G', 'E', 'T'};
+  sample.log(data, get);
+  EXPECT_EQ(sample.packets.size(), kMaxLoggedPackets);
+  EXPECT_EQ(sample.first_data_payload(), nullptr);
+}
+
+TEST(ConnectionSample, KeepsOnlyTheFirstSynsPayload) {
+  ConnectionSample sample;
+  ObservedPacket syn;
+  syn.flags = kSyn;
+  syn.payload_len = 3;
+  const std::vector<std::uint8_t> first = {'G', 'E', 'T'};
+  const std::vector<std::uint8_t> retransmit = {'P', 'U', 'T', '!'};
+  sample.log(syn, first);
+  sample.log(syn, retransmit);
+  EXPECT_EQ(sample.syn_payload, first);
+  EXPECT_EQ(sample.first_data_payload(), nullptr);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 // retransmission collapse, order reconstruction, and stage precedence.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include <algorithm>
 
 #include "common/rng.h"
@@ -60,7 +62,7 @@ ConnectionSample sample_of(std::vector<ObservedPacket> packets,
   s.server_ip = net::IpAddress::v4(198, 18, 0, 1);
   s.client_port = 40000;
   s.server_port = 443;
-  s.packets = std::move(packets);
+  s.packets.assign(packets.begin(), packets.end());
   s.observation_end_sec = observation_end;
   return s;
 }
@@ -94,6 +96,14 @@ TEST(Classifier, TruncatedBusyConnectionIsClean) {
     packets.push_back(resp_ack(1000, 1460 * (i + 1)));
   const auto c = classify(sample_of(std::move(packets), /*observation_end=*/2000));
   EXPECT_FALSE(c.possibly_tampered);
+}
+
+TEST(Classifier, RejectsMaxPacketsAboveRecordCapacity) {
+  ClassifierConfig config;
+  config.max_packets = capture::kMaxLoggedPackets + 1;
+  EXPECT_THROW(SignatureClassifier{config}, std::invalid_argument);
+  config.max_packets = capture::kMaxLoggedPackets;
+  EXPECT_NO_THROW(SignatureClassifier{config});
 }
 
 TEST(Classifier, EmptySampleIsClean) {

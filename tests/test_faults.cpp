@@ -304,8 +304,48 @@ TEST(PcapHardening, HostileInclLenIsSkippedNotAllocated) {
     std::istringstream in(blob, std::ios::binary);
     net::PcapReader reader(in, net::PcapReadMode::kStrict);
     EXPECT_TRUE(reader.next().has_value());
-    EXPECT_THROW(reader.next(), std::runtime_error);
+    EXPECT_THROW((void)reader.next(), std::runtime_error);
   }
+}
+
+TEST(PcapHardening, ViewCoversOnlyItsOwnFrame) {
+  // The reader reuses one buffer for every record. A short frame read after
+  // a long one must see only its own bytes, never the long frame's tail.
+  net::Packet big =
+      net::make_tcp_packet(net::IpAddress::v4(10, 0, 0, 1), 4000, kServer, 443, kAck, 1, 1,
+                           std::vector<std::uint8_t>(59960, 'x'));
+  big.timestamp = kStreamStart;
+  net::Packet small =
+      net::make_tcp_packet(net::IpAddress::v4(10, 0, 0, 2), 4001, kServer, 443, kAck, 2, 1);
+  small.timestamp = kStreamStart;
+  ASSERT_EQ(net::serialize(big).size(), 60000u);
+  auto lying = net::serialize(small);
+  ASSERT_EQ(lying.size(), 40u);
+  lying[2] = 0xea;  // IPv4 total length 40 -> 60000: past this frame's end
+  lying[3] = 0x60;
+  std::ostringstream out(std::ios::binary);
+  net::PcapWriter writer(out);
+  writer.write(big);
+  writer.write(small);
+  writer.write(big);
+  writer.write_raw(kStreamStart, lying);
+
+  std::istringstream in(out.str(), std::ios::binary);
+  net::PcapReader reader(in, net::PcapReadMode::kLenient);
+  const auto first = reader.next();
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->payload.size(), 59960u);
+  const auto second = reader.next();
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(second->tcp.seq, 2u);
+  EXPECT_TRUE(second->payload.empty());
+  EXPECT_TRUE(second->tcp_checksum_ok);
+  ASSERT_TRUE(reader.next().has_value());
+  // Parsed against the long frame's leftover bytes, the lying header would
+  // yield a 59960-byte payload; against its own 40 bytes it is unparseable.
+  EXPECT_FALSE(reader.next().has_value());
+  EXPECT_EQ(reader.stats().skipped_unparseable, 1u);
+  EXPECT_EQ(reader.frames_read(), 4u);
 }
 
 TEST(PcapHardening, LenientReaderReportsBadHeaderInsteadOfThrowing) {

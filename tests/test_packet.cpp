@@ -78,6 +78,26 @@ TEST(Packet, OptionsRoundTrip) {
   EXPECT_TRUE(saw_wscale);
 }
 
+TEST(PacketView, ToPacketRefusesAViewThatWouldDropOptions) {
+  Packet pkt = sample_packet();
+  const PacketView plain = pkt;  // no options: nothing to lose
+  const Packet copy = to_packet(plain);
+  EXPECT_EQ(copy.tcp.seq, pkt.tcp.seq);
+  EXPECT_EQ(copy.payload, pkt.payload);
+
+  pkt.tcp.options = {TcpOption::mss_opt(1460)};
+  const PacketView with_options = pkt;
+  EXPECT_TRUE(with_options.has_tcp_options);
+  EXPECT_TRUE(with_options.tcp_options.empty());
+  EXPECT_THROW((void)to_packet(with_options), std::invalid_argument);
+
+  // A view parsed from the wire carries the option bytes and round-trips.
+  const auto wire = serialize(pkt);
+  const auto parsed = parse_view(wire);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(to_packet(*parsed).tcp.mss(), 1460);
+}
+
 TEST(Packet, HeaderSizePaddedToFourBytes) {
   TcpHeader tcp;
   tcp.options = {TcpOption::window_scale_opt(7)};  // 3 bytes -> padded to 4

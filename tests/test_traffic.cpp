@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <stdexcept>
 
 #include "core/classifier.h"
 #include "core/scanner.h"
@@ -21,6 +22,14 @@ TrafficConfig small_config(std::uint64_t seed = 0xf00d) {
   TrafficConfig config;
   config.seed = seed;
   return config;
+}
+
+TEST(Traffic, RejectsMaxLoggedPacketsAboveRecordCapacity) {
+  TrafficConfig config = small_config();
+  config.max_logged_packets = capture::kMaxLoggedPackets + 1;
+  EXPECT_THROW(TrafficGenerator(shared_world(), config), std::invalid_argument);
+  config.max_logged_packets = capture::kMaxLoggedPackets;
+  EXPECT_NO_THROW(TrafficGenerator(shared_world(), config));
 }
 
 TEST(Traffic, DeterministicForSameSeed) {

@@ -26,7 +26,7 @@ ObservedPacket pkt(std::uint8_t flags, std::uint32_t seq, std::uint32_t ack,
 capture::ConnectionSample sample_of(std::vector<ObservedPacket> packets) {
   capture::ConnectionSample s;
   s.ip_version = net::IpVersion::kV4;
-  s.packets = std::move(packets);
+  s.packets.assign(packets.begin(), packets.end());
   s.observation_end_sec = 1030;
   return s;
 }
