@@ -1,7 +1,9 @@
 #include "analysis/aggregates.h"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
+#include <string_view>
 #include <tuple>
 #include <type_traits>
 #include <utility>
@@ -15,14 +17,41 @@ namespace {
 // Checkpoint serialization writes map-like state in sorted key order, so a
 // snapshot is a pure function of the aggregate counts: save -> restore ->
 // save is byte-identical even for unordered containers (the golden-file
-// test in tests/test_service.cpp pins this).
-template <typename Map>
-std::vector<typename Map::key_type> sorted_keys(const Map& m) {
-  std::vector<typename Map::key_type> keys;
-  keys.reserve(m.size());
-  for (const auto& [k, v] : m) keys.push_back(k);
-  std::sort(keys.begin(), keys.end());
-  return keys;
+// test in tests/test_service.cpp pins this). Unordered state is sorted on
+// integers: OverlapMatrix's keys are u64s already, and a string key sorts
+// by key_prefix() first.
+
+/// The first 8 bytes of `s`, zero-padded, big-endian: prefix(a) < prefix(b)
+/// implies a < b, and equal prefixes leave the order to the full keys.
+std::uint64_t key_prefix(std::string_view s) noexcept {
+  std::uint64_t prefix = 0;
+  for (std::size_t i = 0; i < 8; ++i)
+    prefix = prefix << 8 | (i < s.size() ? static_cast<unsigned char>(s[i]) : 0u);
+  return prefix;
+}
+
+/// Sort `v` ascending by key(element), a u64. Past a few hundred elements
+/// this is an LSD radix sort on the key's bytes, skipping the bytes every
+/// key shares: one counting pass and at most eight scatter passes, where a
+/// comparison sort of hashed keys mispredicts a branch per comparison.
+template <class T, class Key>
+void sort_by_u64(std::vector<T>& v, Key key) {
+  if (v.size() < 256) {
+    std::sort(v.begin(), v.end(), [&](const T& a, const T& b) { return key(a) < key(b); });
+    return;
+  }
+  std::array<std::array<std::size_t, 256>, 8> offsets{};
+  for (const T& x : v)
+    for (std::size_t b = 0; b < 8; ++b) ++offsets[b][key(x) >> (8 * b) & 0xff];
+  std::vector<T> out(v.size());
+  for (std::size_t b = 0; b < 8; ++b) {
+    std::array<std::size_t, 256>& at = offsets[b];
+    if (at[key(v.front()) >> (8 * b) & 0xff] == v.size()) continue;  // byte b never differs
+    std::size_t sum = 0;
+    for (std::size_t& n : at) sum += std::exchange(n, sum);
+    for (const T& x : v) out[at[key(x) >> (8 * b) & 0xff]++] = x;
+    v.swap(out);
+  }
 }
 
 // ---- Sum codec ----
@@ -101,7 +130,7 @@ void write(common::BinWriter& w, const T& v) {
   } else if constexpr (std::is_same_v<T, common::AsnId>) {
     w.u32(v.value());
   } else if constexpr (kIsArray<T>) {
-    for (const std::uint64_t x : v) w.u64(x);
+    w.u64s(v);
   } else if constexpr (Map<T>) {
     w.u64(v.size());
     const auto write_entry = [&w](const auto& entry) {
@@ -109,14 +138,25 @@ void write(common::BinWriter& w, const T& v) {
       write(w, entry.second);
     };
     if constexpr (requires { v.bucket_count(); }) {
-      // Unordered: the same bytes a std::map would write. Sort pointers to
-      // the entries, not copies of the keys.
-      std::vector<const typename T::value_type*> sorted;
+      // Unordered: the same bytes a std::map would write. Most comparisons
+      // are settled by the integer prefix, without reaching the key's
+      // heap-allocated characters.
+      struct Entry {
+        std::uint64_t prefix;
+        const typename T::value_type* entry;
+      };
+      std::vector<Entry> sorted;
       sorted.reserve(v.size());
-      for (const auto& entry : v) sorted.push_back(&entry);
-      std::sort(sorted.begin(), sorted.end(),
-                [](const auto* a, const auto* b) { return a->first < b->first; });
-      for (const auto* entry : sorted) write_entry(*entry);
+      for (const auto& entry : v) sorted.push_back({key_prefix(entry.first), &entry});
+      sort_by_u64(sorted, [](const Entry& e) { return e.prefix; });
+      for (auto run = sorted.begin(); run != sorted.end();) {
+        const auto end = std::find_if(run, sorted.end(),
+                                      [&](const Entry& e) { return e.prefix != run->prefix; });
+        std::sort(run, end,
+                  [](const Entry& a, const Entry& b) { return a.entry->first < b.entry->first; });
+        run = end;
+      }
+      for (const Entry& e : sorted) write_entry(*e.entry);
     } else {
       for (const auto& entry : v) write_entry(entry);
     }
@@ -438,13 +478,16 @@ void OverlapMatrix::merge(const OverlapMatrix& other) {
 }
 
 void OverlapMatrix::snapshot(common::BinWriter& w) const {
-  w.u64(first_state_.size());
-  for (const common::FlowId key : sorted_keys(first_state_)) {
-    w.u64(key.value());
-    w.u64(first_state_.at(key));
+  std::vector<std::array<std::uint64_t, 2>> pairs;  // (key, state)
+  pairs.reserve(first_state_.size());
+  for (const auto& [key, state] : first_state_) pairs.push_back({key.value(), state});
+  sort_by_u64(pairs, [](const auto& pair) { return pair[0]; });
+  w.u64(pairs.size());
+  for (const auto& [key, state] : pairs) {
+    w.u64(key);
+    w.u64(state);
   }
-  for (const auto& row : matrix_)
-    for (std::uint64_t v : row) w.u64(v);
+  for (const auto& row : matrix_) w.u64s(row);
 }
 
 void OverlapMatrix::restore(common::BinReader& r) {

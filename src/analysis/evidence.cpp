@@ -18,10 +18,15 @@ std::uint32_t abs_delta_u8(std::uint8_t a, std::uint8_t b) noexcept {
 EvidenceDeltas evidence_deltas(const capture::ConnectionSample& sample,
                                const core::Classification& classification,
                                const core::ClassifierConfig& config) {
+  return evidence_deltas(core::order_packets(sample, config), sample.ip_version,
+                         classification);
+}
+
+EvidenceDeltas evidence_deltas(const core::OrderedPackets& ordered, net::IpVersion ip_version,
+                               const core::Classification& classification) {
   EvidenceDeltas out;
-  const auto ordered = core::order_packets(sample, config);
   if (ordered.size() < 2) return out;
-  const bool has_ipid = sample.ip_version == net::IpVersion::kV4;
+  const bool has_ipid = ip_version == net::IpVersion::kV4;
 
   std::uint32_t ipid_max = 0, ttl_max = 0;
   bool any = false;
@@ -53,8 +58,7 @@ EvidenceDeltas evidence_deltas(const capture::ConnectionSample& sample,
   return out;
 }
 
-void EvidenceCollector::add(const capture::ConnectionSample& sample,
-                            const ConnectionRecord& record) {
+std::optional<std::size_t> EvidenceCollector::open_bucket(const ConnectionRecord& record) const {
   const auto& c = record.classification;
   std::size_t bucket;
   if (c.signature) {
@@ -62,20 +66,37 @@ void EvidenceCollector::add(const capture::ConnectionSample& sample,
   } else if (!c.possibly_tampered) {
     bucket = clean_bucket();
   } else {
-    return;  // unmatched possibly-tampered: not plotted in Figs. 2-3
+    return std::nullopt;  // unmatched possibly-tampered: not plotted in Figs. 2-3
   }
-  if (ttl_[bucket].count() >= cap_) return;
-  const EvidenceDeltas deltas = evidence_deltas(sample, c);
+  if (ttl_[bucket].count() >= cap_) return std::nullopt;
+  return bucket;
+}
+
+void EvidenceCollector::record_deltas(std::size_t bucket, const EvidenceDeltas& deltas) {
   if (deltas.max_ipid_delta) ipid_[bucket].add(static_cast<double>(*deltas.max_ipid_delta));
   if (deltas.max_ttl_delta) ttl_[bucket].add(static_cast<double>(*deltas.max_ttl_delta));
+}
+
+void EvidenceCollector::add(const capture::ConnectionSample& sample,
+                            const ConnectionRecord& record) {
+  if (const auto bucket = open_bucket(record))
+    record_deltas(*bucket, evidence_deltas(sample, record.classification));
+}
+
+void EvidenceCollector::add(const capture::ConnectionSample& sample,
+                            const ConnectionRecord& record,
+                            const core::OrderedPackets& ordered) {
+  if (const auto bucket = open_bucket(record))
+    record_deltas(*bucket,
+                  evidence_deltas(ordered, sample.ip_version, record.classification));
 }
 
 namespace {
 
 void write_cdf(common::BinWriter& w, const common::EmpiricalCdf& cdf) {
-  const auto samples = cdf.sorted_samples();
+  const std::vector<double>& samples = cdf.sorted_samples();
   w.u64(samples.size());
-  for (double v : samples) w.f64(v);
+  w.f64s(samples);
 }
 
 void read_cdf(common::BinReader& r, common::EmpiricalCdf& cdf) {
@@ -93,7 +114,7 @@ void EvidenceCollector::merge(const EvidenceCollector& other) {
   const auto merge_cdf = [](common::EmpiricalCdf& into, const common::EmpiricalCdf& from) {
     if (from.count() == 0) return;
     std::vector<double> samples = into.sorted_samples();
-    const std::vector<double> more = from.sorted_samples();
+    const std::vector<double>& more = from.sorted_samples();
     samples.insert(samples.end(), more.begin(), more.end());
     into.assign(std::move(samples));
   };

@@ -32,6 +32,10 @@ struct EvidenceDeltas {
 [[nodiscard]] EvidenceDeltas evidence_deltas(const capture::ConnectionSample& sample,
                                              const core::Classification& classification,
                                              const core::ClassifierConfig& config = {});
+/// The same deltas from an already ordered view of the sample's packets.
+[[nodiscard]] EvidenceDeltas evidence_deltas(const core::OrderedPackets& ordered,
+                                             net::IpVersion ip_version,
+                                             const core::Classification& classification);
 
 /// Per-signature CDFs of the deltas, capped at `per_signature_cap`
 /// connections each (the paper samples up to 1,000 per signature).
@@ -43,6 +47,10 @@ class EvidenceCollector {
       : cap_(per_signature_cap) {}
 
   void add(const capture::ConnectionSample& sample, const ConnectionRecord& record);
+  /// The same, given `ordered` = core::order_packets(sample) (default
+  /// config), so a caller that classified the sample orders it once.
+  void add(const capture::ConnectionSample& sample, const ConnectionRecord& record,
+           const core::OrderedPackets& ordered);
 
   /// Bucket index: signature value, or kBuckets-1 for "Not Tampering".
   [[nodiscard]] const common::EmpiricalCdf& ipid_cdf(std::size_t bucket) const {
@@ -64,6 +72,11 @@ class EvidenceCollector {
   void restore(common::BinReader& r);
 
  private:
+  /// The bucket `record` counts in, or nullopt when it is not plotted or
+  /// its bucket is full.
+  [[nodiscard]] std::optional<std::size_t> open_bucket(const ConnectionRecord& record) const;
+  void record_deltas(std::size_t bucket, const EvidenceDeltas& deltas);
+
   std::size_t cap_;
   std::array<common::EmpiricalCdf, kBuckets> ipid_{};
   std::array<common::EmpiricalCdf, kBuckets> ttl_{};

@@ -199,8 +199,11 @@ void Pipeline::ingest(const capture::ConnectionSample& sample) noexcept {
   try {
     obs::Tracer::Span classify_span(tracer_, obs::stage::kClassify,
                                     obs::stage::kCategory);
+    // Ordered once: the classifier and the evidence collector read the
+    // same view (both use the default ClassifierConfig).
+    const core::OrderedPackets ordered = core::order_packets(sample, classifier_.config());
     const ConnectionRecord record =
-        analyze(sample, world_.geo(), classifier_,
+        analyze(sample, ordered, world_.geo(), classifier_,
                 /*parse_app_proto=*/!evidence_only_.load(std::memory_order_relaxed));
     classify_span.finish();
     obs::Tracer::Span aggregate_span(tracer_, obs::stage::kAggregate,
@@ -211,7 +214,7 @@ void Pipeline::ingest(const capture::ConnectionSample& sample) noexcept {
     version_protocol_.add(record);
     categories_.add(record);
     overlap_.add(record);
-    evidence_.add(sample, record);
+    evidence_.add(sample, record, ordered);
 
     ++scanner_.connections;
     const core::ScannerIndicators indicators = core::scanner_indicators(sample);
@@ -237,6 +240,9 @@ void Pipeline::run(world::TrafficGenerator& generator, std::size_t connections) 
 }
 
 void Pipeline::snapshot(common::BinWriter& w) const {
+  const std::size_t start = w.size();
+  const std::size_t last = snapshot_bytes_.load(std::memory_order_relaxed);
+  w.reserve(start + last + last / 4);
   {
     common::MutexLock lock(stats_mu_);
     for (const DegradedField& f : kDegradedFields) w.u64(degraded_.*f.member);
@@ -245,6 +251,7 @@ void Pipeline::snapshot(common::BinWriter& w) const {
   w.i64(latest_ts_sec_);
 
   std::apply([&](auto... part) { ((this->*part).snapshot(w), ...); }, kParts);
+  snapshot_bytes_.store(w.size() - start, std::memory_order_relaxed);
 }
 
 void Pipeline::restore(common::BinReader& r) {

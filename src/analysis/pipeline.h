@@ -327,6 +327,9 @@ class Pipeline {
   /// Last cumulative value absorbed per source-fed counter (see absorb).
   DegradedStats baseline_ TAMPER_GUARDED_BY(stats_mu_);
   std::atomic<bool> evidence_only_{false};
+  /// Size of the last snapshot: the next one reserves room for it plus
+  /// growth, so the writer does not regrow from empty every checkpoint.
+  mutable std::atomic<std::size_t> snapshot_bytes_{0};
 };
 
 }  // namespace tamper::analysis

@@ -34,12 +34,17 @@ struct ConnectionRecord {
 /// (control::Level::kEvidenceOnly and above): skip the DPI payload
 /// inspection, keeping the port-derived protocol and the tamper-signature
 /// classification — the part of the record that must never degrade.
+///
+/// `ordered` is core::order_packets(sample, classifier.config()), for a
+/// caller that reuses it (Pipeline::ingest hands it on to the evidence
+/// collector).
 [[nodiscard]] inline ConnectionRecord analyze(const capture::ConnectionSample& sample,
+                                              const core::OrderedPackets& ordered,
                                               const world::GeoDatabase& geo,
                                               const core::SignatureClassifier& classifier,
                                               bool parse_app_proto = true) {
   ConnectionRecord record;
-  record.classification = classifier.classify(sample);
+  record.classification = classifier.classify(sample, ordered);
   record.ip_version = sample.ip_version;
   if (const auto country = geo.lookup_country(sample.client_ip)) record.country = *country;
   if (const auto asn = geo.lookup_asn(sample.client_ip)) record.asn = *asn;
@@ -58,6 +63,14 @@ struct ConnectionRecord {
     record.http_user_agent = dpi.http_user_agent;
   }
   return record;
+}
+
+[[nodiscard]] inline ConnectionRecord analyze(const capture::ConnectionSample& sample,
+                                              const world::GeoDatabase& geo,
+                                              const core::SignatureClassifier& classifier,
+                                              bool parse_app_proto = true) {
+  return analyze(sample, core::order_packets(sample, classifier.config()), geo, classifier,
+                 parse_app_proto);
 }
 
 }  // namespace tamper::analysis

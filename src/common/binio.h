@@ -7,12 +7,16 @@
 // garbage state in an aggregator.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace tamper::common {
@@ -22,30 +26,86 @@ class BinUnderrun : public std::runtime_error {
   BinUnderrun() : std::runtime_error("binary payload truncated") {}
 };
 
+/// FNV-1a over a byte buffer (checkpoint payload checksums).
+[[nodiscard]] constexpr std::uint64_t fnv1a_bytes(const std::uint8_t* data,
+                                                 std::size_t size) noexcept {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::size_t i = 0; i < size; ++i) {
+    h ^= data[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
 class BinWriter {
  public:
   void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u16(std::uint16_t v) { raw(&v, sizeof v); }
-  void u32(std::uint32_t v) { raw(&v, sizeof v); }
-  void u64(std::uint64_t v) { raw(&v, sizeof v); }
+  void u16(std::uint16_t v) { put(v); }
+  void u32(std::uint32_t v) { put(v); }
+  void u64(std::uint64_t v) { put(v); }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+  /// The bytes of one u64() / f64() call per element, in one copy.
+  void u64s(std::span<const std::uint64_t> v) { put_all(v); }
+  void f64s(std::span<const double> v) { put_all(v); }
   void str(std::string_view s) {
     u64(s.size());
-    for (char c : s) buf_.push_back(static_cast<std::uint8_t>(c));
+    append(s.data(), s.size());
   }
+
+  /// The payload frame of checkpoints and partials: u64 size, the bytes
+  /// `body(*this)` writes, u64 FNV-1a of those bytes. The body is written
+  /// in place and the size field patched once it is known.
+  template <typename Body>
+  void checksummed(Body&& body) {
+    const std::size_t size_at = size();
+    u64(0);
+    const std::size_t begin = size();
+    std::forward<Body>(body)(*this);
+    const std::size_t n = size() - begin;
+    patch_u64(size_at, n);
+    u64(fnv1a_bytes(buf_.data() + begin, n));
+  }
+
+  /// Bytes written so far: the offset of the next write.
+  [[nodiscard]] std::size_t size() const noexcept { return buf_.size(); }
+  void reserve(std::size_t bytes) { buf_.reserve(bytes); }
 
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const noexcept { return buf_; }
   [[nodiscard]] std::vector<std::uint8_t> take() noexcept { return std::move(buf_); }
 
  private:
-  void raw(const void* p, std::size_t n) {
-    const auto* b = static_cast<const std::uint8_t*>(p);
-    if constexpr (std::endian::native == std::endian::little) {
-      buf_.insert(buf_.end(), b, b + n);
-    } else {
-      for (std::size_t i = n; i > 0; --i) buf_.push_back(b[i - 1]);
+  template <typename T>
+  static T to_le(T v) noexcept {
+    if constexpr (std::endian::native == std::endian::big) {
+      auto raw = std::bit_cast<std::array<std::uint8_t, sizeof(T)>>(v);
+      std::reverse(raw.begin(), raw.end());
+      v = std::bit_cast<T>(raw);
     }
+    return v;
+  }
+  void patch_u64(std::size_t at, std::uint64_t v) {
+    if (at > buf_.size() || buf_.size() - at < sizeof v)
+      throw std::out_of_range("BinWriter::patch_u64 past the end");
+    v = to_le(v);
+    std::memcpy(buf_.data() + at, &v, sizeof v);
+  }
+  template <typename T>
+  void put(T v) {
+    v = to_le(v);
+    append(&v, sizeof v);
+  }
+  template <typename T>
+  void put_all(std::span<const T> v) {
+    if constexpr (std::endian::native == std::endian::little) {
+      append(v.data(), v.size_bytes());
+    } else {
+      for (const T x : v) put(x);
+    }
+  }
+  void append(const void* p, std::size_t n) {
+    const auto* b = static_cast<const std::uint8_t*>(p);
+    buf_.insert(buf_.end(), b, b + n);
   }
   std::vector<std::uint8_t> buf_;
 };
@@ -97,16 +157,5 @@ class BinReader {
   std::size_t size_;
   std::size_t pos_ = 0;
 };
-
-/// FNV-1a over a byte buffer (checkpoint payload checksums).
-[[nodiscard]] constexpr std::uint64_t fnv1a_bytes(const std::uint8_t* data,
-                                                 std::size_t size) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= data[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 }  // namespace tamper::common

@@ -42,7 +42,7 @@ std::vector<std::pair<double, double>> EmpiricalCdf::curve(std::size_t points) c
   return out;
 }
 
-std::vector<double> EmpiricalCdf::sorted_samples() const {
+const std::vector<double>& EmpiricalCdf::sorted_samples() const {
   ensure_sorted();
   return samples_;
 }

@@ -51,7 +51,7 @@ class EmpiricalCdf {
   [[nodiscard]] double max() const;
 
   /// Samples in ascending order — for serialization; order is not semantic.
-  [[nodiscard]] std::vector<double> sorted_samples() const;
+  [[nodiscard]] const std::vector<double>& sorted_samples() const;
   /// Replace contents (restore path; pair of sorted_samples()).
   void assign(std::vector<double> samples) {
     samples_ = std::move(samples);

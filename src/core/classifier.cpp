@@ -77,10 +77,14 @@ SignatureClassifier::SignatureClassifier(ClassifierConfig config) : config_(conf
 }
 
 Classification SignatureClassifier::classify(const capture::ConnectionSample& sample) const {
+  return classify(sample, order_packets(sample, config_));
+}
+
+Classification SignatureClassifier::classify(const capture::ConnectionSample& sample,
+                                             const OrderedPackets& ordered) const {
   Classification out;
   if (sample.packets.empty()) return out;
 
-  const auto ordered = order_packets(sample, config_);
   const std::size_t n = ordered.size();
 
   bool fin_anywhere = false;

@@ -70,6 +70,11 @@ class SignatureClassifier {
   explicit SignatureClassifier(ClassifierConfig config = {});
 
   [[nodiscard]] Classification classify(const capture::ConnectionSample& sample) const;
+  /// The same verdict from `ordered`, which must be
+  /// order_packets(sample, config()): for callers that also need the
+  /// ordered view, so it is built once.
+  [[nodiscard]] Classification classify(const capture::ConnectionSample& sample,
+                                        const OrderedPackets& ordered) const;
 
   [[nodiscard]] const ClassifierConfig& config() const noexcept { return config_; }
 

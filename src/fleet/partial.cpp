@@ -13,9 +13,6 @@ constexpr std::size_t kEnvelopeOverhead = 8 + 4 + 4 + 8 + 8 + (1 + 8 + 8) + 8 + 
 
 std::string encode_partial(const PartialHeader& header,
                            const analysis::Pipeline& pipeline) {
-  common::BinWriter payload;
-  pipeline.snapshot(payload);
-
   common::BinWriter out;
   for (char c : kPartialMagic) out.u8(static_cast<std::uint8_t>(c));
   out.u32(kPartialVersion);
@@ -25,18 +22,9 @@ std::string encode_partial(const PartialHeader& header,
   out.u8(static_cast<std::uint8_t>(header.overload.level));
   out.u64(header.overload.shed_samples);
   out.i64(header.overload.first_shed_ts_sec);
-  out.u64(payload.bytes().size());
-  const std::vector<std::uint8_t> head = out.bytes();
-
-  std::string image(head.begin(), head.end());
-  image.append(reinterpret_cast<const char*>(payload.bytes().data()),
-               payload.bytes().size());
-
-  common::BinWriter checksum;
-  checksum.u64(common::fnv1a_bytes(payload.bytes().data(), payload.bytes().size()));
-  image.append(reinterpret_cast<const char*>(checksum.bytes().data()),
-               checksum.bytes().size());
-  return image;
+  out.checksummed([&](common::BinWriter& payload) { pipeline.snapshot(payload); });
+  const std::vector<std::uint8_t>& image = out.bytes();
+  return std::string(reinterpret_cast<const char*>(image.data()), image.size());
 }
 
 namespace {

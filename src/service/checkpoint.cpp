@@ -36,22 +36,15 @@ void fsync_parent_dir(const std::string& path) {
 
 std::vector<std::uint8_t> encode_checkpoint(const analysis::Pipeline& pipeline,
                                             const CheckpointMeta& meta) {
-  common::BinWriter payload;
-  payload.u64(meta.samples_ingested);
-  payload.u64(meta.sequence);
-  pipeline.snapshot(payload);
-
   common::BinWriter out;
   for (char c : kCheckpointMagic) out.u8(static_cast<std::uint8_t>(c));
   out.u32(kCheckpointVersion);
-  out.u64(payload.bytes().size());
-  std::vector<std::uint8_t> image = out.take();
-  image.insert(image.end(), payload.bytes().begin(), payload.bytes().end());
-
-  common::BinWriter checksum;
-  checksum.u64(common::fnv1a_bytes(payload.bytes().data(), payload.bytes().size()));
-  image.insert(image.end(), checksum.bytes().begin(), checksum.bytes().end());
-  return image;
+  out.checksummed([&](common::BinWriter& payload) {
+    payload.u64(meta.samples_ingested);
+    payload.u64(meta.sequence);
+    pipeline.snapshot(payload);
+  });
+  return out.take();
 }
 
 LoadResult decode_checkpoint(const std::vector<std::uint8_t>& bytes,

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
 #include <optional>
 #include <set>
 #include <stdexcept>
@@ -11,6 +12,7 @@
 #include "analysis/evidence.h"
 #include "analysis/pipeline.h"
 #include "analysis/testlists.h"
+#include "common/rng.h"
 
 namespace tamper::analysis {
 namespace {
@@ -303,6 +305,96 @@ TEST(Aggregates, CategoryMergeSumsPerDomain) {
   EXPECT_EQ(stats.at(world::Category::kChat).tampered_connections, 120u);
   EXPECT_EQ(stats.at(world::Category::kBusiness).seen_domains,
             std::set<std::string>{"news.example"});
+}
+
+// ---- Encode rule: snapshot key order is std::map's ----
+
+// Keys the prefix sort must order exactly as std::string does: shared
+// first 8 bytes, prefixes of each other, embedded NULs (also at the
+// padding positions of a short key) and bytes >= 0x80.
+std::vector<std::string> awkward_keys() {
+  using namespace std::string_literals;
+  return {"abcdefgh"s,
+          "abcdefgh.a"s,
+          "abcdefgh.b"s,
+          "abcdefghZ"s,
+          "abcdefgi"s,
+          "abcdefgh\xff"s,
+          "abcdefg"s,
+          "abcdefg\0"s,
+          "abcdefg\0\0x"s,
+          "abc"s,
+          "abc\0"s,
+          "ab\0c"s,
+          ""s,
+          "\0"s,
+          "\0\0\0\0\0\0\0\0\0"s,
+          "a\x7f"s,
+          "a\x80" "b"s,
+          "\x80"s,
+          "\xff\xfe"s,
+          "\xff\xff\xff\xff\xff\xff\xff\xff"s,
+          "\xff\xff\xff\xff\xff\xff\xff\xff\x01"s,
+          "zzzzzzzz"s,
+          "Zzzzzzzz"s};
+}
+
+TEST(Aggregates, CategorySnapshotWritesDomainsInStdMapOrder) {
+  CategoryAggregator agg = category_aggregator();
+  std::map<std::string, std::uint64_t> reference;
+  std::uint64_t n = 1;
+  // Enough keys for the radix path, in long runs of equal 8-byte prefixes.
+  std::vector<std::string> domains = awkward_keys();
+  for (int i = 0; i < 400; ++i) {
+    const std::string tail = std::to_string(i * 7919 % 1000);
+    domains.push_back((i % 3 == 0 ? "abcdefgh" : i % 3 == 1 ? "ab" : "\xff") + tail);
+    if (i % 50 == 0) domains.push_back(std::string("abc\0", 4) + tail);
+  }
+  for (const std::string& domain : domains) {
+    add_n(agg, static_cast<int>(n % 5 + 1), domain, std::nullopt);
+    reference[domain] += n++ % 5 + 1;
+  }
+  common::BinWriter w;
+  agg.snapshot(w);
+
+  common::BinReader r(w.bytes());
+  ASSERT_EQ(r.u64(), 1u);  // one country
+  EXPECT_EQ(r.str(), "CN");
+  EXPECT_EQ(r.u64(), 0u);  // tampered_by_domain: nothing matched
+  ASSERT_EQ(r.u64(), reference.size());
+  for (const auto& [domain, count] : reference) {
+    EXPECT_EQ(r.str(), domain);
+    EXPECT_EQ(r.u64(), count);
+  }
+  EXPECT_TRUE(r.exhausted());
+}
+
+TEST(Aggregates, OverlapSnapshotWritesFlowIdsInStdMapOrder) {
+  OverlapMatrix overlap;
+  std::map<common::FlowId, std::uint64_t> reference;  // orders by the raw u64
+  std::size_t top_bit = 0;
+  for (std::uint64_t i = 0; i < 500; ++i) {
+    ConnectionRecord r;
+    r.client_ip_hash = common::mix64(i);
+    r.domain = "d" + std::to_string(i % 7) + ".example";
+    if (i % 3 == 0) r.classification.signature = core::Signature::kPshRst;
+    overlap.add(r);
+    const common::FlowId key(common::mix64(r.client_ip_hash ^ common::fnv1a(*r.domain)));
+    reference.try_emplace(key, OverlapMatrix::state_of(r.classification));
+    if (key.value() >> 63) ++top_bit;
+  }
+  ASSERT_GT(top_bit, 0u);
+  ASSERT_LT(top_bit, reference.size());
+  common::BinWriter w;
+  overlap.snapshot(w);
+
+  common::BinReader r(w.bytes());
+  ASSERT_EQ(r.u64(), reference.size());
+  for (const auto& [key, state] : reference) {
+    EXPECT_EQ(r.u64(), key.value());
+    EXPECT_EQ(r.u64(), state);
+  }
+  EXPECT_EQ(r.remaining(), OverlapMatrix::kStates * OverlapMatrix::kStates * 8);
 }
 
 // ---- Decode rule: strictly increasing keys at every level ----

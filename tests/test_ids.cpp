@@ -21,6 +21,8 @@
 #include "common/binio.h"
 #include "common/ids.h"
 #include "fleet/partial.h"
+#include "obs/timeseries.h"
+#include "service/checkpoint.h"
 #include "world/countries.h"
 #include "world/traffic.h"
 #include "world/world.h"
@@ -299,6 +301,51 @@ TEST(ByteIdentityTest, StateBytesMatchPinnedDigest) {
   const std::string report = json.str();
   EXPECT_EQ(digest(reinterpret_cast<const std::uint8_t*>(report.data()), report.size()),
             (Digest{14739, 0x920effb12dfc9f31ULL}));
+}
+
+// The bytes the service and the fleet actually ship, pinned like the state
+// bytes above: the pretty Radar report (the service default, and the only
+// one that exercises indentation), a whole checkpoint file image and a
+// whole partial envelope. The state is cut into three trend epochs and the
+// report carries anomaly events, so numbers of every shape are formatted.
+TEST(ByteIdentityTest, ShippedBytesMatchPinnedDigest) {
+  using Digest = std::pair<std::size_t, std::uint64_t>;  // size, fnv1a
+  const auto digest = [](const auto& bytes) {
+    const auto* data = reinterpret_cast<const std::uint8_t*>(bytes.data());
+    return Digest{bytes.size(), common::fnv1a_bytes(data, bytes.size())};
+  };
+
+  analysis::Pipeline pipeline(shared_world());
+  world::TrafficConfig traffic;
+  traffic.seed = 0x5eed;
+  world::TrafficGenerator generator(shared_world(), traffic);
+  std::size_t n = 0;
+  generator.generate(600, [&](world::LabeledConnection&& conn) {
+    pipeline.ingest(conn.sample);
+    if (++n % 200 == 0) pipeline.sample_trends();
+  });
+
+  const std::vector<obs::AnomalyEvent> anomalies = {
+      {"tamper_class_matched_total", "", 465'191, 12.5, 3.0, 4.75},
+      {"tamper_class_country_matches_total", "CN\t\"q\"", -1, -0.0, 1e-310, 123456789.0},
+  };
+  std::ostringstream json;
+  analysis::ReportOptions options;  // pretty, daily time series and trends on
+  options.trend_anomalies = &anomalies;
+  analysis::write_radar_report(json, pipeline, options);
+  EXPECT_EQ(digest(json.str()), (Digest{39692, 0xcfc20bb6d58ccce0ULL}));
+
+  const service::CheckpointMeta meta{.samples_ingested = 600, .sequence = 3};
+  EXPECT_EQ(digest(service::encode_checkpoint(pipeline, meta)),
+            (Digest{169211, 0x473b22e3807de054ULL}));
+
+  fleet::PartialHeader header;
+  header.pop = PopId(9);
+  header.epoch = EpochId(465'192);
+  header.sequence = 600;
+  header.overload = {control::Level::kShedding, 17, 1'674'000'123};
+  EXPECT_EQ(digest(fleet::encode_partial(header, pipeline)),
+            (Digest{169232, 0xe4cd5b2008e3ee5dULL}));
 }
 
 }  // namespace

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <limits>
+#include <random>
 #include <sstream>
 
 #include "analysis/injector.h"
@@ -76,6 +81,133 @@ TEST(Json, PrettyPrintingIndents) {
   json.kv("k", std::uint64_t{1});
   json.end_object();
   EXPECT_EQ(out.str(), "{\n  \"k\": 1\n}");
+}
+
+TEST(Json, LargeTopLevelArrayReachesTheStreamBeforeItCloses) {
+  std::ostringstream out;
+  common::JsonWriter json(out, false);
+  json.begin_array();
+  std::string expected = "[";
+  const std::string element(100, 'x');
+  for (int i = 0; i < 5000; ++i) {
+    json.value(element);
+    expected += (i > 0 ? ",\"" : "\"") + element + '"';
+    // What the writer holds back stays under one block plus one element.
+    ASSERT_LT(expected.size() - out.str().size(),
+              common::JsonWriter::kFlushBytes + element.size() + 3);
+  }
+  EXPECT_GT(out.str().size(), 7 * common::JsonWriter::kFlushBytes);
+  json.end_array();
+  EXPECT_EQ(out.str(), expected + "]");
+}
+
+TEST(Json, DestructionFlushesWhatItHolds) {
+  std::ostringstream out;
+  {
+    common::JsonWriter json(out, true);
+    json.begin_object();
+    json.kv("k", std::uint64_t{1});
+    EXPECT_EQ(out.str(), "");  // nothing complete at the top level yet
+  }
+  EXPECT_EQ(out.str(), "{\n  \"k\": 1");
+}
+
+// Every number goes through std::to_chars; the contract is printf's.
+TEST(Json, DoublesFormatExactlyAsPrintfG6) {
+  std::vector<double> values = {0.0,
+                                -0.0,
+                                std::numeric_limits<double>::denorm_min(),
+                                -std::numeric_limits<double>::denorm_min(),
+                                std::numeric_limits<double>::min() / 3,
+                                std::numeric_limits<double>::min(),
+                                std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::lowest(),
+                                1e300,
+                                -1e300,
+                                1e-300,
+                                -1e-300,
+                                9007199254740992.0,  // 2^53
+                                9007199254740991.0,
+                                9007199254740994.0,
+                                -9007199254740992.0,
+                                0.1,
+                                1.0 / 3,
+                                123456.5,
+                                999999.5,
+                                1234567.0,
+                                1e-5,
+                                0.0001,
+                                100.0,
+                                2.5e-7};
+  std::mt19937_64 rng(0x6a);
+  while (values.size() < 20'000) {
+    const double v = std::bit_cast<double>(rng());
+    if (std::isfinite(v)) values.push_back(v);
+  }
+  for (int e = -320; e <= 308; ++e) values.push_back(std::pow(10.0, e) * 1.2345675);
+  for (const double v : values) {
+    std::ostringstream out;
+    common::JsonWriter json(out, false);
+    json.value(v);
+    char want[40];
+    std::snprintf(want, sizeof want, "%.6g", v);
+    ASSERT_EQ(out.str(), want) << std::hexfloat << v;
+  }
+}
+
+TEST(Json, IntegerExtremes) {
+  std::ostringstream out;
+  common::JsonWriter json(out, false);
+  json.begin_array();
+  json.value(std::numeric_limits<std::int64_t>::min());
+  json.value(std::numeric_limits<std::int64_t>::max());
+  json.value(std::int64_t{-1});
+  json.value(std::numeric_limits<std::uint64_t>::max());
+  json.value(std::uint64_t{0});
+  json.value(-7);
+  json.end_array();
+  EXPECT_EQ(out.str(),
+            "[-9223372036854775808,9223372036854775807,-1,18446744073709551615,0,-7]");
+}
+
+// The escaping rule, one character at a time: the writer copies unescaped
+// characters as runs, and must agree with this on every byte.
+std::string escaped_one_by_one(std::string_view s) {
+  std::string out = "\"";
+  for (const unsigned char c : s) {
+    if (c == '"') {
+      out += "\\\"";
+    } else if (c == '\\') {
+      out += "\\\\";
+    } else if (c == '\n') {
+      out += "\\n";
+    } else if (c == '\r') {
+      out += "\\r";
+    } else if (c == '\t') {
+      out += "\\t";
+    } else if (c < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof buf, "\\u%04x", c);
+      out += buf;
+    } else {
+      out += static_cast<char>(c);
+    }
+  }
+  return out + '"';
+}
+
+TEST(Json, EveryByteEscapesAsBefore) {
+  std::string all;
+  for (int b = 0; b < 256; ++b) {
+    const std::string s = {'a', static_cast<char>(b), 'z'};
+    all += s;
+    std::ostringstream out;
+    common::JsonWriter(out, false).value(s);
+    ASSERT_EQ(out.str(), escaped_one_by_one(s)) << "byte " << b;
+  }
+  std::ostringstream out;
+  common::JsonWriter(out, false).value(all);
+  EXPECT_EQ(out.str(), escaped_one_by_one(all));
 }
 
 // ---- Radar report ----
