@@ -26,7 +26,8 @@ class BinUnderrun : public std::runtime_error {
   BinUnderrun() : std::runtime_error("binary payload truncated") {}
 };
 
-/// FNV-1a over a byte buffer (checkpoint payload checksums).
+/// FNV-1a over a byte buffer, one byte per multiply. Kept for digests that
+/// pin bytes across commits; envelopes are sealed with checksum64().
 [[nodiscard]] constexpr std::uint64_t fnv1a_bytes(const std::uint8_t* data,
                                                  std::size_t size) noexcept {
   std::uint64_t h = 0xcbf29ce484222325ULL;
@@ -34,6 +35,58 @@ class BinUnderrun : public std::runtime_error {
     h ^= data[i];
     h *= 0x100000001b3ULL;
   }
+  return h;
+}
+
+/// The little-endian u64 at `p` (any alignment).
+[[nodiscard]] inline std::uint64_t load_le64(const std::uint8_t* p) noexcept {
+  std::uint64_t v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, p, sizeof v);
+  } else {
+    for (int b = 7; b >= 0; --b) v = v << 8 | p[b];
+  }
+  return v;
+}
+
+/// The envelope checksum of checkpoints and partials. Four independent
+/// lanes each take one little-endian u64 of every 32-byte block; the last
+/// 1..31 bytes are zero-padded into up to four more words, one per lane.
+/// The length and then the lanes are folded one after another and mixed.
+/// Every step and every fold is a bijection in its running state for a
+/// fixed input and in the input for a fixed state, so two buffers of the
+/// same length that differ only inside one aligned 8-byte word always get
+/// different checksums (FNV-1a's guarantee for one byte, widened to eight).
+[[nodiscard]] inline std::uint64_t checksum64(const std::uint8_t* data,
+                                              std::size_t size) noexcept {
+  constexpr std::uint64_t kP1 = 0x9e3779b185ebca87ULL;
+  constexpr std::uint64_t kP2 = 0xc2b2ae3d27d4eb4fULL;
+  constexpr std::uint64_t kP3 = 0x165667b19e3779f9ULL;
+  // Add, rotate, odd multiply: each is invertible in either argument.
+  const auto step = [](std::uint64_t state, std::uint64_t word) {
+    return std::rotl(state + word * kP2, 31) * kP1;
+  };
+  std::uint64_t lane[4] = {kP1 + kP2, kP2, 0, 0 - kP1};
+  std::size_t i = 0;
+  for (; size - i >= 32; i += 32) {
+    lane[0] = step(lane[0], load_le64(data + i));
+    lane[1] = step(lane[1], load_le64(data + i + 8));
+    lane[2] = step(lane[2], load_le64(data + i + 16));
+    lane[3] = step(lane[3], load_le64(data + i + 24));
+  }
+  if (i < size) {
+    std::uint8_t tail[32] = {};
+    std::memcpy(tail, data + i, size - i);
+    for (std::size_t w = 0; w * 8 < size - i; ++w)
+      lane[w] = step(lane[w], load_le64(tail + w * 8));
+  }
+  std::uint64_t h = step(kP3, size);
+  for (const std::uint64_t l : lane) h = step(h, l);
+  h ^= h >> 33;
+  h *= kP2;
+  h ^= h >> 29;
+  h *= kP3;
+  h ^= h >> 32;
   return h;
 }
 
@@ -54,17 +107,17 @@ class BinWriter {
   }
 
   /// The payload frame of checkpoints and partials: u64 size, the bytes
-  /// `body(*this)` writes, u64 FNV-1a of those bytes. The body is written
-  /// in place and the size field patched once it is known.
+  /// `body(*this)` writes, then the u64 checksum64() of every byte written
+  /// so far, header and size included. The body is written in place and
+  /// the size field patched once it is known.
   template <typename Body>
   void checksummed(Body&& body) {
     const std::size_t size_at = size();
     u64(0);
     const std::size_t begin = size();
     std::forward<Body>(body)(*this);
-    const std::size_t n = size() - begin;
-    patch_u64(size_at, n);
-    u64(fnv1a_bytes(buf_.data() + begin, n));
+    patch_u64(size_at, size() - begin);
+    u64(checksum64(buf_.data(), size()));
   }
 
   /// Bytes written so far: the offset of the next write.

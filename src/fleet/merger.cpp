@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "fleet/partial.h"
 #include "obs/families.h"
@@ -62,15 +63,19 @@ bool Merger::deliver(const std::string& payload) {
   }
 
   // The expensive restore happens outside the lock; concurrent PoPs decode
-  // in parallel and only the insert below serializes.
+  // in parallel and only the insert below serializes. The body was verified
+  // by the peek above and is restored without a second checksum pass.
   auto pipeline = std::make_unique<analysis::Pipeline>(world_);
-  const DecodeResult full = decode_partial(payload, *pipeline);
+  const DecodeResult full = decode_partial(peek, *pipeline);
   if (!full.ok) {
     common::MutexLock lock(mu_);
     ++stats_.rejected;
     return true;
   }
 
+  // Declared before the lock, so the PoP's previous pipeline is freed after
+  // the lock is released, not while other deliveries wait on it.
+  std::unique_ptr<analysis::Pipeline> replaced;
   common::MutexLock lock(mu_);
   PopEntry& entry = pops_[h.pop];
   if (entry.pipeline != nullptr) {
@@ -89,7 +94,7 @@ bool Merger::deliver(const std::string& payload) {
   entry.epoch = h.epoch;
   entry.sequence = h.sequence;
   entry.overload = h.overload;
-  entry.pipeline = std::move(pipeline);
+  replaced = std::exchange(entry.pipeline, std::move(pipeline));
   ++stats_.accepted;
 
   // Bounded-skew guard: a PoP whose reported epoch strays further than the

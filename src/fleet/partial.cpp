@@ -1,6 +1,7 @@
 #include "fleet/partial.h"
 
 #include <cstring>
+#include <utility>
 
 #include "common/binio.h"
 
@@ -27,10 +28,7 @@ std::string encode_partial(const PartialHeader& header,
   return std::string(reinterpret_cast<const char*>(image.data()), image.size());
 }
 
-namespace {
-
-DecodeResult validate(const std::string& payload, const std::uint8_t** body,
-                      std::uint64_t* body_size) {
+DecodeResult peek_partial(const std::string& payload) {
   DecodeResult result;
   const auto* bytes = reinterpret_cast<const std::uint8_t*>(payload.data());
   if (payload.size() < kEnvelopeOverhead) {
@@ -50,7 +48,7 @@ DecodeResult validate(const std::string& payload, const std::uint8_t** body,
   try {
     version = header.u32();
     // Version gates the header shape: refuse foreign versions before
-    // interpreting the rest of the envelope as v2 fields.
+    // interpreting the rest of the envelope as this version's fields.
     if (version != kPartialVersion) {
       result.error = "unsupported partial version " + std::to_string(version) +
                      " (this build reads version " + std::to_string(kPartialVersion) +
@@ -79,49 +77,37 @@ DecodeResult validate(const std::string& payload, const std::uint8_t** body,
                    std::to_string(payload.size() - kEnvelopeOverhead) + ")";
     return result;
   }
-  const std::uint8_t* data = bytes + (kEnvelopeOverhead - 8);
-  common::BinReader tail(bytes + payload.size() - 8, 8);
-  const std::uint64_t declared_checksum = tail.u64();
-  const std::uint64_t actual_checksum =
-      common::fnv1a_bytes(data, static_cast<std::size_t>(payload_size));
-  if (declared_checksum != actual_checksum) {
-    result.error = "partial checksum mismatch (corrupt payload)";
+  const std::size_t sealed = payload.size() - 8;
+  if (common::load_le64(bytes + sealed) != common::checksum64(bytes, sealed)) {
+    result.error = "partial checksum mismatch (corrupt envelope)";
     return result;
   }
-  *body = data;
-  *body_size = payload_size;
+  result.body = {bytes + (kEnvelopeOverhead - 8), static_cast<std::size_t>(payload_size)};
   result.ok = true;
   return result;
 }
 
-}  // namespace
-
-DecodeResult peek_partial(const std::string& payload) {
-  const std::uint8_t* body = nullptr;
-  std::uint64_t body_size = 0;
-  return validate(payload, &body, &body_size);
+DecodeResult decode_partial(DecodeResult peeked, analysis::Pipeline& pipeline) {
+  if (!peeked.ok) return peeked;
+  try {
+    common::BinReader reader(peeked.body.data(), peeked.body.size());
+    pipeline.restore(reader);
+    if (!reader.exhausted()) {
+      peeked.ok = false;
+      peeked.error = "partial has " + std::to_string(reader.remaining()) +
+                     " trailing payload bytes";
+    }
+  } catch (const std::exception& e) {
+    peeked.ok = false;
+    peeked.error = std::string("partial payload rejected: ") + e.what();
+  }
+  return peeked;
 }
 
 DecodeResult decode_partial(const std::string& payload, analysis::Pipeline& pipeline) {
-  const std::uint8_t* body = nullptr;
-  std::uint64_t body_size = 0;
-  DecodeResult result = validate(payload, &body, &body_size);
-  if (!result.ok) return result;
-  try {
-    common::BinReader reader(body, static_cast<std::size_t>(body_size));
-    pipeline.restore(reader);
-    if (!reader.exhausted()) {
-      result.ok = false;
-      result.error = "partial has " + std::to_string(reader.remaining()) +
-                     " trailing payload bytes";
-      return result;
-    }
-  } catch (const std::exception& e) {
-    result.ok = false;
-    result.error = std::string("partial payload rejected: ") + e.what();
-    return result;
-  }
-  return result;
+  DecodeResult peeked = peek_partial(payload);
+  if (!peeked.ok) return peeked;
+  return decode_partial(std::move(peeked), pipeline);
 }
 
 }  // namespace tamper::fleet

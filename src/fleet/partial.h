@@ -14,7 +14,8 @@
 //   first_shed i64                        (capture ts of first shed; 0 never, v2)
 //   size     u64                          (payload byte count)
 //   payload                               (Pipeline::snapshot stream)
-//   checksum u64                          (FNV-1a over payload)
+//   checksum u64                          (common::checksum64 over every
+//                                          byte before it, header included, v4)
 //
 // Partials are CUMULATIVE, not incremental: each one carries the PoP's
 // entire aggregate state so far, and the merger keeps only the newest per
@@ -27,6 +28,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "analysis/pipeline.h"
@@ -39,9 +41,13 @@ inline constexpr char kPartialMagic[8] = {'T', 'S', 'P', 'A', 'R', 'T', '0', '1'
 // v2: the header carries the PoP's control::OverloadState so the merger can
 // mark epochs from shedding PoPs coverage-degraded. v3: the payload is the
 // v4 Pipeline snapshot, which appends the trends epoch ring — per-PoP
-// longitudinal series ride every partial into the merger. Old versions are
-// refused, like old checkpoints: partials are operational state.
-inline constexpr std::uint32_t kPartialVersion = 3;
+// longitudinal series ride every partial into the merger. v4: the checksum
+// is common::checksum64 over the whole image, header included, not FNV-1a
+// over the payload alone, so a flipped pop, epoch or sequence bit is
+// refused instead of poisoning the merger's dedupe state; the payload and
+// the sizes are unchanged. Old versions are refused, like old checkpoints:
+// partials are operational state, so a spooled v3 partial is rejected.
+inline constexpr std::uint32_t kPartialVersion = 4;
 
 struct PartialHeader {
   /// Strong ids at the API surface; the codec writes their raw
@@ -62,14 +68,21 @@ struct DecodeResult {
   bool ok = false;
   std::string error;  ///< human-readable refusal when !ok
   PartialHeader header;
+  /// The verified Pipeline::snapshot bytes when ok; a view into the image
+  /// that was peeked, valid while that image lives.
+  std::span<const std::uint8_t> body;
 };
 
-/// Header-only validation (magic, version, sizes, checksum) — what the
-/// merger runs before paying for a full pipeline restore.
+/// Envelope validation (magic, version, header, sizes, checksum) — what
+/// the merger runs before paying for a full pipeline restore.
 [[nodiscard]] DecodeResult peek_partial(const std::string& payload);
 
-/// Full validation + restore into `pipeline`. On refusal the pipeline may
-/// be partially written — decode into a pipeline you can discard.
+/// Restore the body of an image that peek_partial() accepted. The image
+/// must still be alive; it is not checked again.
+DecodeResult decode_partial(DecodeResult peeked, analysis::Pipeline& pipeline);
+
+/// peek_partial() then restore into `pipeline`. On refusal the pipeline
+/// may be partially written — decode into a pipeline you can discard.
 DecodeResult decode_partial(const std::string& payload, analysis::Pipeline& pipeline);
 
 }  // namespace tamper::fleet

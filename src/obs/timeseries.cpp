@@ -1,6 +1,7 @@
 #include "obs/timeseries.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/json.h"
 
@@ -44,6 +45,17 @@ const std::vector<SeriesSpec>& default_series_catalog() {
 
 // ---------------------------------------------------------------- EpochRing
 
+namespace {
+/// The oldest epoch the window keeps: max_epoch - max_epochs + 1, held at
+/// the lowest i64 epoch rather than overflowing below it (a restored
+/// payload can carry any epoch). max_epochs is at least 1.
+std::int64_t window_floor(std::int64_t max_epoch, std::size_t max_epochs) noexcept {
+  const auto depth = static_cast<std::int64_t>(max_epochs) - 1;
+  constexpr std::int64_t kLowest = std::numeric_limits<std::int64_t>::min();
+  return max_epoch < kLowest + depth ? kLowest : max_epoch - depth;
+}
+}  // namespace
+
 EpochRing::EpochRing(EpochRingConfig config) : config_(config) {
   if (config_.epoch_length_sec <= 0) config_.epoch_length_sec = 1;
   if (config_.max_epochs == 0) config_.max_epochs = 1;
@@ -74,8 +86,7 @@ EpochRing::SeriesMap::iterator EpochRing::record_at(SeriesMap::iterator pos,
   ++recorded_points_;
   // A point older than the retained window would be trimmed immediately;
   // refuse it up front so the drop is attributed to the record, not the trim.
-  if (!series_.empty() &&
-      epoch + static_cast<std::int64_t>(config_.max_epochs) <= max_epoch_) {
+  if (!series_.empty() && epoch < window_floor(max_epoch_, config_.max_epochs)) {
     ++dropped_points_;
     return series_.end();
   }
@@ -171,8 +182,7 @@ void EpochRing::trim() {
   if (series_.empty()) return;
   // Epoch window: keep the newest max_epochs epochs. Confluent under any
   // merge order because max_epoch_ only grows with the union.
-  const std::int64_t floor =
-      max_epoch_ - static_cast<std::int64_t>(config_.max_epochs) + 1;
+  const std::int64_t floor = window_floor(max_epoch_, config_.max_epochs);
   for (auto it = series_.begin(); it != series_.end();) {
     auto& points = it->second.points;
     const auto cut = points.lower_bound(floor);

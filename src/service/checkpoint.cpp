@@ -6,8 +6,9 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
-#include <iterator>
+#include <system_error>
 
 #include "common/binio.h"
 
@@ -81,15 +82,12 @@ LoadResult decode_checkpoint(const std::vector<std::uint8_t>& bytes,
                    std::to_string(bytes.size() - kEnvelopeOverhead) + ")";
     return result;
   }
-  const std::uint8_t* payload = bytes.data() + (kEnvelopeOverhead - 8);
-  common::BinReader tail(bytes.data() + bytes.size() - 8, 8);
-  const std::uint64_t declared_checksum = tail.u64();
-  const std::uint64_t actual_checksum =
-      common::fnv1a_bytes(payload, static_cast<std::size_t>(payload_size));
-  if (declared_checksum != actual_checksum) {
-    result.error = "checkpoint checksum mismatch (corrupt or truncated payload)";
+  const std::size_t sealed = bytes.size() - 8;
+  if (common::load_le64(bytes.data() + sealed) != common::checksum64(bytes.data(), sealed)) {
+    result.error = "checkpoint checksum mismatch (corrupt or truncated image)";
     return result;
   }
+  const std::uint8_t* payload = bytes.data() + (kEnvelopeOverhead - 8);
   try {
     common::BinReader reader(payload, static_cast<std::size_t>(payload_size));
     result.meta.samples_ingested = reader.u64();
@@ -135,9 +133,15 @@ LoadResult load_checkpoint(const std::string& path, analysis::Pipeline& pipeline
     result.error = "no checkpoint at " + path;
     return result;
   }
-  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                                  std::istreambuf_iterator<char>());
-  if (in.bad()) {
+  // Sized once and read in one call, not a char at a time. file_size also
+  // refuses what is not a regular file, such as a directory, which opens
+  // as a stream all the same.
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  std::vector<std::uint8_t> bytes;
+  if (!ec) bytes.resize(static_cast<std::size_t>(size));
+  if (ec || !in.read(reinterpret_cast<char*>(bytes.data()),
+                     static_cast<std::streamsize>(bytes.size()))) {
     result.error = "read error on " + path;
     return result;
   }

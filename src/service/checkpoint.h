@@ -7,13 +7,14 @@
 //   version u32                           (kVersion)
 //   size    u64                           (payload byte count)
 //   payload                               (BinWriter stream)
-//   checksum u64                          (FNV-1a over payload)
+//   checksum u64                          (common::checksum64 over every
+//                                          byte before it, header included, v5)
 //
 // Files are written snapshot-to-temp + fsync + atomic rename, so a crash
 // mid-write leaves the previous checkpoint intact. Loading refuses — with
 // an error message, never a crash or partial state — anything truncated,
 // bit-flipped, version-skewed, or short; tests/test_service.cpp proves the
-// refusal for truncation at every byte offset.
+// refusal for truncation and for a bit flip at every byte offset.
 #pragma once
 
 #include <cstdint>
@@ -29,9 +30,12 @@ inline constexpr char kCheckpointMagic[8] = {'T', 'S', 'C', 'K', 'P', 'T', '0', 
 // latest_ts_sec (fleet epoch tagging). v3: DegradedStats gained the
 // overload-control admission counters and spool_dropped. v4: Pipeline
 // serializes the trends epoch ring (obs/timeseries.h), so longitudinal
-// history survives crash-resume. Older images are refused, not migrated:
-// checkpoints are short-lived operational state, not archives.
-inline constexpr std::uint32_t kCheckpointVersion = 4;
+// history survives crash-resume. v5: the checksum is common::checksum64
+// over the whole image, header included, not FNV-1a over the payload
+// alone; the payload and the sizes are unchanged. Older images are
+// refused, not migrated: checkpoints are short-lived operational state,
+// not archives.
+inline constexpr std::uint32_t kCheckpointVersion = 5;
 
 struct CheckpointMeta {
   std::uint64_t samples_ingested = 0;  ///< pipeline position at snapshot time

@@ -2,20 +2,31 @@
 // PcapReader -> ConnectionSampler -> SignatureClassifier, asserting the
 // robustness contract: no crash on any input, flow-table memory stays
 // bounded, and flows the faults did not touch classify exactly as in a
-// fault-free run.
+// fault-free run. A last campaign feeds the checkpoint and partial
+// decoders mutated payloads behind a resealed, valid envelope.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <iterator>
+#include <limits>
 #include <map>
+#include <span>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "analysis/pipeline.h"
 #include "capture/sampler.h"
+#include "common/binio.h"
+#include "common/rng.h"
 #include "core/classifier.h"
 #include "fault/corruptor.h"
 #include "fault/injector.h"
+#include "fleet/partial.h"
 #include "net/pcap.h"
+#include "service/checkpoint.h"
+#include "world/traffic.h"
 #include "world/world.h"
 
 namespace tamper {
@@ -401,6 +412,172 @@ TEST(PipelineDegraded, IngestIsNothrowAndCountsEmptySamples) {
   EXPECT_EQ(pipeline.degraded().malformed_packets, 7u);
   EXPECT_EQ(pipeline.degraded().overload_evicted, 4u);
   EXPECT_EQ(pipeline.degraded().total(), 1u + 3 + 2 + 5 + 7 + 4);
+}
+
+// ---- Campaign 4: hostile payloads behind a valid envelope ---------------
+//
+// The whole-image checksum refuses accidental corruption, so the restore
+// parsers (sum codec, overlap, evidence, epoch ring) only ever meet crafted
+// bytes. Mutate the payload of a checkpoint and of a partial, rewrite the
+// size field, reseal the checksum and decode: every mutant must be refused
+// or load cleanly, never crash (tools/check.sh runs this under ASan and
+// UBSan). Each mutant has its own seed, so a failure names its input.
+
+/// Seeded payload edits: byte flips, inserts, deletions, truncations, and
+/// eight bytes overwritten with an edge value (counts, lengths, epochs).
+std::vector<std::uint8_t> mutate(std::vector<std::uint8_t> payload, common::Rng& rng) {
+  static constexpr std::uint64_t kEdges[] = {0,
+                                             1,
+                                             0xffu,
+                                             0xffff'ffffu,
+                                             std::uint64_t{1} << 32,
+                                             0x7fff'ffff'ffff'ffffULL,
+                                             0x8000'0000'0000'0000ULL,
+                                             ~std::uint64_t{0}};
+  const std::uint64_t edits = 1 + rng.below(3);
+  for (std::uint64_t e = 0; e < edits && !payload.empty(); ++e) {
+    const auto at = static_cast<std::ptrdiff_t>(rng.below(payload.size()));
+    const auto run = static_cast<std::ptrdiff_t>(1 + rng.below(8));
+    switch (rng.below(5)) {
+      case 0:
+        payload[static_cast<std::size_t>(at)] ^= static_cast<std::uint8_t>(1 + rng.below(255));
+        break;
+      case 1:
+        for (std::ptrdiff_t i = 0; i < run; ++i)
+          payload.insert(payload.begin() + at, static_cast<std::uint8_t>(rng.next()));
+        break;
+      case 2:
+        payload.erase(payload.begin() + at,
+                      payload.begin() + std::min(at + run, std::ssize(payload)));
+        break;
+      case 3:
+        payload.resize(static_cast<std::size_t>(at));
+        break;
+      default: {
+        common::BinWriter edge;
+        edge.u64(kEdges[rng.below(std::size(kEdges))]);
+        const std::size_t n = std::min<std::size_t>(8, payload.size() - static_cast<std::size_t>(at));
+        std::copy_n(edge.bytes().begin(), n, payload.begin() + at);
+        break;
+      }
+    }
+  }
+  return payload;
+}
+
+/// An envelope around `payload`: `header` (every byte before the size
+/// field), the size, the payload, and checksum64 over all of it.
+std::vector<std::uint8_t> reseal(std::span<const std::uint8_t> header,
+                                 std::span<const std::uint8_t> payload) {
+  common::BinWriter size;
+  size.u64(payload.size());
+  std::vector<std::uint8_t> image(header.begin(), header.end());
+  image.insert(image.end(), size.bytes().begin(), size.bytes().end());
+  image.insert(image.end(), payload.begin(), payload.end());
+  common::BinWriter checksum;
+  checksum.u64(common::checksum64(image.data(), image.size()));
+  image.insert(image.end(), checksum.bytes().begin(), checksum.bytes().end());
+  return image;
+}
+
+struct Envelope {
+  std::span<const std::uint8_t> header;   ///< bytes before the size field
+  std::span<const std::uint8_t> payload;  ///< between size field and checksum
+};
+
+Envelope split(std::span<const std::uint8_t> image, std::size_t header_bytes) {
+  return {image.first(header_bytes),
+          image.subspan(header_bytes + 8, image.size() - header_bytes - 16)};
+}
+
+TEST(EnvelopeMutation, ResealedHostilePayloadsAreRefusedOrLoadCleanly) {
+  const world::World world{world::WorldConfig{.domains = {.domain_count = 2'000}, .seed = 0xf5}};
+  analysis::Pipeline pipeline(world);
+  world::TrafficConfig traffic;
+  traffic.seed = 0xbad5eed;
+  world::TrafficGenerator generator(world, traffic);
+  std::size_t n = 0;
+  generator.generate(160, [&](world::LabeledConnection&& conn) {
+    pipeline.ingest(conn.sample);
+    if (++n % 80 == 0) pipeline.sample_trends();  // the epoch ring holds points
+  });
+
+  const std::vector<std::uint8_t> checkpoint = service::encode_checkpoint(pipeline, {160, 2});
+  const std::string partial_wire =
+      fleet::encode_partial({common::PopId(5), common::EpochId(40), 160, {}}, pipeline);
+  const std::vector<std::uint8_t> partial(partial_wire.begin(), partial_wire.end());
+  // Checkpoint: magic + version. Partial: magic + version + pop + epoch +
+  // sequence + overload level, shed count and first-shed time.
+  const Envelope ckpt = split(checkpoint, 8 + 4);
+  const Envelope part = split(partial, 8 + 4 + 4 + 8 + 8 + 1 + 8 + 8);
+  ASSERT_EQ(reseal(ckpt.header, ckpt.payload), checkpoint);
+  ASSERT_EQ(reseal(part.header, part.payload), partial);
+
+  const std::vector<std::uint8_t> ckpt_payload(ckpt.payload.begin(), ckpt.payload.end());
+  const std::vector<std::uint8_t> part_payload(part.payload.begin(), part.payload.end());
+  std::size_t loaded = 0, refused = 0;
+  for (std::uint64_t seed = 0; seed < 1000; ++seed) {
+    common::Rng rng(seed);
+    {
+      const auto mutant = reseal(ckpt.header, mutate(ckpt_payload, rng));
+      analysis::Pipeline target(world);
+      const service::LoadResult load = service::decode_checkpoint(mutant, target);
+      if (load.ok) {
+        // What the decoder accepted is a state the encoder writes and the
+        // decoder accepts again.
+        analysis::Pipeline again(world);
+        const auto image = service::encode_checkpoint(target, load.meta);
+        EXPECT_TRUE(service::decode_checkpoint(image, again).ok) << "checkpoint seed " << seed;
+      }
+      ++(load.ok ? loaded : refused);
+    }
+    {
+      const auto bytes = reseal(part.header, mutate(part_payload, rng));
+      const std::string mutant(bytes.begin(), bytes.end());
+      const fleet::DecodeResult peek = fleet::peek_partial(mutant);
+      ASSERT_TRUE(peek.ok) << "partial seed " << seed << ": " << peek.error;
+      analysis::Pipeline target(world);
+      const fleet::DecodeResult full = fleet::decode_partial(peek, target);
+      if (full.ok) {
+        analysis::Pipeline again(world);
+        const std::string image = fleet::encode_partial(full.header, target);
+        EXPECT_TRUE(fleet::decode_partial(image, again).ok) << "partial seed " << seed;
+      }
+      ++(full.ok ? loaded : refused);
+    }
+  }
+  // Both outcomes occur, so the mutants reach past the first field.
+  EXPECT_GT(loaded, 0u);
+  EXPECT_GT(refused, 0u);
+}
+
+// Minimised from the campaign's shape: the epoch ring is the snapshot's
+// last part, and a point at the lowest i64 epoch made the ring's window
+// trim compute max_epoch - max_epochs + 1 below INT64_MIN.
+TEST(EnvelopeMutation, RingPointAtTheLowestEpochLoadsCleanly) {
+  const world::World world{world::WorldConfig{.domains = {.domain_count = 2'000}, .seed = 0xf5}};
+  common::BinWriter payload;
+  payload.u64(0);  // checkpoint meta: samples_ingested
+  payload.u64(0);  //                  sequence
+  analysis::Pipeline(world).snapshot(payload);
+  std::vector<std::uint8_t> body = payload.take();
+  body.resize(body.size() - 4);  // the empty ring's series count
+  common::BinWriter ring;
+  ring.u32(1);
+  ring.str("tamper_class_matched_total");
+  ring.str("");
+  ring.u8(0);
+  ring.u32(1);
+  ring.i64(std::numeric_limits<std::int64_t>::min());
+  ring.f64(1.0);
+  body.insert(body.end(), ring.bytes().begin(), ring.bytes().end());
+
+  const std::uint8_t header[] = {'T', 'S', 'C', 'K', 'P', 'T', '0', '1',
+                                 static_cast<std::uint8_t>(service::kCheckpointVersion), 0, 0, 0};
+  analysis::Pipeline target(world);
+  const service::LoadResult load = service::decode_checkpoint(reseal(header, body), target);
+  ASSERT_TRUE(load.ok) << load.error;
+  EXPECT_EQ(target.trends().point_count(), 1u);
 }
 
 }  // namespace

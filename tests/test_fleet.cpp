@@ -202,9 +202,10 @@ TEST(Partial, CorruptionIsRefusedNeverTrusted) {
       fleet::encode_partial({PopId(1), EpochId(7), 40, {}}, pipeline);
 
   // Any single flipped payload byte must fail the checksum (the fixed
-  // header is 40 bytes: magic + version + pop + epoch + sequence + size).
+  // header is 57 bytes: magic + version + pop + epoch + sequence + the
+  // overload level, shed count and first-shed time + size).
   std::string flipped = wire;
-  flipped[40 + 25] ^= 0x01;
+  flipped[57 + 25] ^= 0x01;
   EXPECT_FALSE(fleet::peek_partial(flipped).ok);
 
   // Truncation at every interesting boundary is a refusal, not a crash.
@@ -222,6 +223,24 @@ TEST(Partial, CorruptionIsRefusedNeverTrusted) {
   std::string bad_version = wire;
   bad_version[8] = static_cast<char>(fleet::kPartialVersion + 1);
   EXPECT_FALSE(fleet::peek_partial(bad_version).ok);
+}
+
+// The checksum covers the whole image: a flip at any offset, header fields
+// included, is refused by the peek and by the full decode alike.
+TEST(Partial, BitFlipAtEveryOffsetIsRefused) {
+  analysis::Pipeline pipeline(shared_world());
+  for (const auto& s : generate_samples(20)) pipeline.ingest(s);
+  std::string wire = fleet::encode_partial({PopId(3), EpochId(9), 20, {}}, pipeline);
+  analysis::Pipeline scratch(shared_world());
+  for (std::size_t offset = 0; offset < wire.size(); ++offset) {
+    const auto flip = static_cast<char>(1u << (offset % 8));
+    wire[offset] ^= flip;
+    EXPECT_FALSE(fleet::peek_partial(wire).ok) << "peek accepted a flip at " << offset;
+    EXPECT_FALSE(fleet::decode_partial(wire, scratch).ok)
+        << "decode accepted a flip at " << offset;
+    wire[offset] ^= flip;
+  }
+  EXPECT_TRUE(fleet::decode_partial(wire, scratch).ok);
 }
 
 TEST(Partial, V2CarriesOverloadStateInTheEnvelope) {
@@ -462,6 +481,25 @@ TEST_F(MergerTest, CorruptPartialIsRejectedAndAcknowledged) {
   const auto s = merger.stats();
   EXPECT_EQ(s.rejected, 2u);
   EXPECT_EQ(s.accepted, 0u);
+}
+
+// A flipped bit in a header field used to pass the payload-only checksum:
+// a sequence of 200 read as 288230376151711944 was accepted, and every
+// genuine partial from that PoP was dropped as stale after it.
+TEST_F(MergerTest, FlippedSequenceBitIsRejectedNotStale) {
+  fleet::Merger merger(shared_world(), {.pops_expected = 1});
+  EXPECT_TRUE(merger.deliver(partial(0, 10, 100, 40)));
+  std::string wire = partial(0, 11, 200, 50);
+  // sequence is the u64 at offset 24 (magic 8 + version 4 + pop 4 + epoch 8).
+  wire[24 + 7] ^= 0x04;
+  EXPECT_TRUE(merger.deliver(wire));
+  const std::string genuine = partial(0, 12, 300, 60);
+  EXPECT_TRUE(merger.deliver(genuine));
+  const auto s = merger.stats();
+  EXPECT_EQ(s.rejected, 1u);
+  EXPECT_EQ(s.stale, 0u);
+  EXPECT_EQ(s.accepted, 2u);
+  EXPECT_EQ(merger.coverage().pops[0].samples, 300u);
 }
 
 TEST_F(MergerTest, BoundedSkewGuardTrips) {

@@ -195,9 +195,10 @@ void load_pipeline(analysis::Pipeline& pipeline) {
 }
 
 // The byte-identity contract from common/ids.h: strong ids live at the API
-// surface only. The v3 envelope written through PartialHeader's PopId /
-// EpochId fields must equal the envelope assembled from raw u32/u64 writes.
-TEST(ByteIdentityTest, PartialEnvelopeV3MatchesRawFieldEncoding) {
+// surface only. The v4 envelope written through PartialHeader's PopId /
+// EpochId fields must equal the envelope assembled from raw u32/u64 writes,
+// sealed by checksum64 over header and payload.
+TEST(ByteIdentityTest, PartialEnvelopeV4MatchesRawFieldEncoding) {
   analysis::Pipeline pipeline(shared_world());
   load_pipeline(pipeline);
   fleet::PartialHeader header;
@@ -222,11 +223,21 @@ TEST(ByteIdentityTest, PartialEnvelopeV3MatchesRawFieldEncoding) {
   expected.append(reinterpret_cast<const char*>(payload.bytes().data()),
                   payload.bytes().size());
   common::BinWriter checksum;
-  checksum.u64(common::fnv1a_bytes(payload.bytes().data(), payload.bytes().size()));
+  checksum.u64(common::checksum64(reinterpret_cast<const std::uint8_t*>(expected.data()),
+                                  expected.size()));
   expected.append(reinterpret_cast<const char*>(checksum.bytes().data()),
                   checksum.bytes().size());
 
   EXPECT_EQ(image, expected);
+
+  // The v3 -> v4 bump changed the checksum only: the payload between the
+  // 57-byte header and the checksum is the v3 envelope's, byte for byte
+  // (digest recorded from the v3 encoder).
+  const std::string body = image.substr(57, image.size() - 57 - 8);
+  EXPECT_EQ(std::make_pair(body.size(),
+                           common::fnv1a_bytes(reinterpret_cast<const std::uint8_t*>(body.data()),
+                                               body.size())),
+            std::make_pair(std::size_t{113951}, std::uint64_t{0xd9153570b9259c8eULL}));
 
   const fleet::DecodeResult peek = fleet::peek_partial(image);
   ASSERT_TRUE(peek.ok) << peek.error;
@@ -337,7 +348,7 @@ TEST(ByteIdentityTest, ShippedBytesMatchPinnedDigest) {
 
   const service::CheckpointMeta meta{.samples_ingested = 600, .sequence = 3};
   EXPECT_EQ(digest(service::encode_checkpoint(pipeline, meta)),
-            (Digest{169211, 0x473b22e3807de054ULL}));
+            (Digest{169211, 0x74e7274fd876604aULL}));
 
   fleet::PartialHeader header;
   header.pop = PopId(9);
@@ -345,7 +356,7 @@ TEST(ByteIdentityTest, ShippedBytesMatchPinnedDigest) {
   header.sequence = 600;
   header.overload = {control::Level::kShedding, 17, 1'674'000'123};
   EXPECT_EQ(digest(fleet::encode_partial(header, pipeline)),
-            (Digest{169232, 0xe4cd5b2008e3ee5dULL}));
+            (Digest{169232, 0x49c21a26deff2394ULL}));
 }
 
 }  // namespace

@@ -156,7 +156,7 @@ TEST(PcapPath, OutputBytesPinned) {
       std::string(corrupted.begin(), corrupted.end()), net::PcapReadMode::kLenient);
 
   EXPECT_EQ(from_raw.report, (Digest{74304, 0x612feb2a58e38104ULL}));
-  EXPECT_EQ(from_raw.checkpoint, (Digest{616030, 0x673a27a5c5b466c6ULL}));
+  EXPECT_EQ(from_raw.checkpoint, (Digest{616030, 0xd12a613d4c502256ULL}));
   EXPECT_EQ(from_raw.reader, (std::vector<std::uint64_t>{20949, 0, 0, 0, 0, 0}));
   EXPECT_EQ(from_raw.sampler, (std::vector<std::uint64_t>{20949, 0, 3000, 3000, 0, 0}));
 
@@ -167,7 +167,7 @@ TEST(PcapPath, OutputBytesPinned) {
   EXPECT_EQ(from_ethernet.sampler, from_raw.sampler);
 
   EXPECT_EQ(from_corrupt.report, (Digest{74336, 0x843b1000cb6f3b3bULL}));
-  EXPECT_EQ(from_corrupt.checkpoint, (Digest{615382, 0xa2d18dde5f3ce2bdULL}));
+  EXPECT_EQ(from_corrupt.checkpoint, (Digest{615382, 0x37a4ced0d7cfcd79ULL}));
   EXPECT_EQ(from_corrupt.reader, (std::vector<std::uint64_t>{20942, 7, 15, 0, 15, 0}));
   EXPECT_EQ(from_corrupt.sampler, (std::vector<std::uint64_t>{20935, 0, 2997, 2997, 0, 0}));
 }

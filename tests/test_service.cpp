@@ -289,15 +289,18 @@ TEST(Checkpoint, TruncationAtEveryOffsetIsCleanlyRefused) {
 TEST(Checkpoint, BitFlipsAreCleanlyRefused) {
   analysis::Pipeline pipeline(shared_world());
   for (const auto& s : generate_samples(40)) pipeline.ingest(s);
-  const auto image = service::encode_checkpoint(pipeline, {});
-  // Flip a spread of payload bytes (the checksum must catch every one).
-  for (std::size_t offset = 20; offset < image.size(); offset += 97) {
-    auto broken = image;
-    broken[offset] ^= 0x40;
-    analysis::Pipeline target(shared_world());
-    EXPECT_FALSE(service::decode_checkpoint(broken, target).ok)
+  auto image = service::encode_checkpoint(pipeline, {});
+  // A flip at every offset, magic, version, size and checksum included:
+  // the checksum covers the whole image, so each one is refused before the
+  // restore writes anything.
+  analysis::Pipeline target(shared_world());
+  for (std::size_t offset = 0; offset < image.size(); ++offset) {
+    image[offset] ^= 0x40;
+    EXPECT_FALSE(service::decode_checkpoint(image, target).ok)
         << "accepted a bit-flip at offset " << offset;
+    image[offset] ^= 0x40;
   }
+  EXPECT_TRUE(service::decode_checkpoint(image, target).ok);
 }
 
 TEST(Checkpoint, MissingFileReportsNoCheckpoint) {
@@ -306,6 +309,15 @@ TEST(Checkpoint, MissingFileReportsNoCheckpoint) {
   const auto load = service::load_checkpoint(dir.file("absent.ckpt"), pipeline);
   EXPECT_FALSE(load.ok);
   EXPECT_EQ(load.error.rfind("no checkpoint", 0), 0u) << load.error;
+}
+
+TEST(Checkpoint, UnreadablePathReportsReadError) {
+  // A directory opens as a stream but is no checkpoint file.
+  ScratchDir dir("unreadable");
+  analysis::Pipeline pipeline(shared_world());
+  const auto load = service::load_checkpoint(dir.path.string(), pipeline);
+  EXPECT_FALSE(load.ok);
+  EXPECT_EQ(load.error.rfind("read error", 0), 0u) << load.error;
 }
 
 TEST(Checkpoint, SaveLoadRoundTripsThroughDisk) {
