@@ -10,14 +10,13 @@
 // grouping — without changing a byte of the merged output
 // (tests/test_fleet.cpp pins the three laws against serialized state).
 //
-// Five of them are pointwise sums: SignatureMatrix, AsnAggregator,
-// TimeSeries, VersionProtocolAggregator and CategoryAggregator. Their
-// merge, snapshot and restore are one call each into a single sum codec
-// (aggregates.cpp), which lists each row type's counters once, in wire
-// order. Maps are written in strictly increasing key order, and restore
-// requires exactly that at every level: a repeated or out-of-order key
-// throws std::runtime_error. OverlapMatrix and EvidenceCollector merge by
-// other rules and keep their own code.
+// Snapshot and restore are one call each into the state codec
+// (common/codec.h), which lists each part's fields once, in wire order, and
+// whose restore refuses repeated or out-of-order keys, out-of-range values
+// and counts the payload cannot hold. Five aggregators are pointwise sums
+// merged by the same description: SignatureMatrix, AsnAggregator,
+// TimeSeries, VersionProtocolAggregator and CategoryAggregator.
+// OverlapMatrix keeps the smaller first state of a pair.
 #pragma once
 
 #include <array>
@@ -27,6 +26,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -62,6 +62,8 @@ class SignatureMatrix {
     std::array<std::uint64_t, core::kSignatureCount> by_signature{};
     std::uint64_t connections = 0;
     std::uint64_t matches = 0;
+    /// The counters in wire order (common/codec.h).
+    static auto fields(auto& r) { return std::tie(r.connections, r.matches, r.by_signature); }
   };
   /// Direct read-only view of the per-country rows, sorted by country code.
   /// The trends rollup iterates this instead of countries() + per-country
@@ -85,10 +87,12 @@ class SignatureMatrix {
   std::uint64_t total_ = 0;
   std::uint64_t possibly_ = 0;
   std::uint64_t matched_ = 0;
-
-  /// std::tie of every member above, in wire order (aggregates.cpp).
+  /// Every member above, in wire order.
   template <class Self>
-  static auto fields(Self& self);
+  static auto fields(Self& m) {
+    return std::tie(m.total_, m.possibly_, m.matched_, m.signature_totals_, m.stage_possibly_,
+                    m.stage_matched_, m.rows_);
+  }
 };
 
 /// Per-AS match proportions within each country (Figure 5).
@@ -105,6 +109,8 @@ class AsnAggregator {
                               : 100.0 * static_cast<double>(matches) /
                                     static_cast<double>(connections);
     }
+    /// The counters in wire order; asn is the map key.
+    static auto fields(auto& r) { return std::tie(r.connections, r.matches); }
   };
   /// ASes collectively originating `traffic_share` of a country's
   /// connections (paper: top 80%), largest first.
@@ -133,6 +139,10 @@ class TimeSeries {
     std::uint64_t connections = 0;
     std::uint64_t post_ack_psh_matches = 0;
     std::array<std::uint64_t, core::kSignatureCount> by_signature{};
+    /// The counters in wire order (common/codec.h).
+    static auto fields(auto& r) {
+      return std::tie(r.connections, r.post_ack_psh_matches, r.by_signature);
+    }
   };
   /// Buckets keyed by hour index (epoch seconds / 3600) for one country.
   [[nodiscard]] const std::map<std::int64_t, HourBucket>& country_hours(
@@ -159,6 +169,11 @@ class VersionProtocolAggregator {
     std::uint64_t v6_total = 0, v6_matches = 0;
     std::uint64_t tls_total = 0, tls_psh_matches = 0;  ///< Post-PSH matches
     std::uint64_t http_total = 0, http_psh_matches = 0;
+    /// The counters in wire order (common/codec.h).
+    static auto fields(auto& r) {
+      return std::tie(r.v4_total, r.v4_matches, r.v6_total, r.v6_matches, r.tls_total,
+                      r.tls_psh_matches, r.http_total, r.http_psh_matches);
+    }
   };
   [[nodiscard]] const std::map<std::string, Split>& by_country() const noexcept {
     return by_country_;
@@ -213,6 +228,7 @@ class CategoryAggregator {
   struct CountryData {
     std::unordered_map<std::string, std::uint64_t> tampered_by_domain;
     std::unordered_map<std::string, std::uint64_t> seen_by_domain;
+    static auto fields(auto& r) { return std::tie(r.tampered_by_domain, r.seen_by_domain); }
   };
   CategoryLookup lookup_;
   std::map<std::string, CountryData> by_country_;
@@ -245,8 +261,12 @@ class OverlapMatrix {
   void restore(common::BinReader& r);
 
  private:
-  std::unordered_map<common::FlowId, std::size_t> first_state_;  ///< pair-hash -> state
+  /// A first state, 0 .. kStates - 1: restore refuses any other (aggregates.cpp).
+  enum class State : std::size_t {};
+  std::unordered_map<common::FlowId, State> first_state_;  ///< pair-hash -> state
   std::array<std::array<std::uint64_t, kStates>, kStates> matrix_{};
+  template <class Self>  // the members above, in wire order
+  static auto fields(Self& m) { return std::tie(m.first_state_, m.matrix_); }
 };
 
 }  // namespace tamper::analysis

@@ -1,8 +1,9 @@
 #include "analysis/evidence.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <vector>
+
+#include "common/codec.h"
 
 namespace tamper::analysis {
 
@@ -91,49 +92,17 @@ void EvidenceCollector::add(const capture::ConnectionSample& sample,
                   evidence_deltas(ordered, sample.ip_version, record.classification));
 }
 
-namespace {
-
-void write_cdf(common::BinWriter& w, const common::EmpiricalCdf& cdf) {
-  const std::vector<double>& samples = cdf.sorted_samples();
-  w.u64(samples.size());
-  w.f64s(samples);
-}
-
-void read_cdf(common::BinReader& r, common::EmpiricalCdf& cdf) {
-  const std::uint64_t n = r.u64();
-  std::vector<double> samples;
-  samples.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(n, 1u << 20)));
-  for (std::uint64_t i = 0; i < n; ++i) samples.push_back(r.f64());
-  cdf.assign(std::move(samples));
-}
-
-}  // namespace
-
 void EvidenceCollector::merge(const EvidenceCollector& other) {
   cap_ = std::max(cap_, other.cap_);
-  const auto merge_cdf = [](common::EmpiricalCdf& into, const common::EmpiricalCdf& from) {
-    if (from.count() == 0) return;
-    std::vector<double> samples = into.sorted_samples();
-    const std::vector<double>& more = from.sorted_samples();
-    samples.insert(samples.end(), more.begin(), more.end());
-    into.assign(std::move(samples));
-  };
   for (std::size_t b = 0; b < kBuckets; ++b) {
-    merge_cdf(ipid_[b], other.ipid_[b]);
-    merge_cdf(ttl_[b], other.ttl_[b]);
+    ipid_[b].merge(other.ipid_[b]);
+    ttl_[b].merge(other.ttl_[b]);
   }
 }
 
 void EvidenceCollector::snapshot(common::BinWriter& w) const {
-  w.u64(cap_);
-  for (const auto& cdf : ipid_) write_cdf(w, cdf);
-  for (const auto& cdf : ttl_) write_cdf(w, cdf);
+  common::codec::write(w, fields(*this));
 }
-
-void EvidenceCollector::restore(common::BinReader& r) {
-  cap_ = static_cast<std::size_t>(r.u64());
-  for (auto& cdf : ipid_) read_cdf(r, cdf);
-  for (auto& cdf : ttl_) read_cdf(r, cdf);
-}
+void EvidenceCollector::restore(common::BinReader& r) { common::codec::read(r, fields(*this)); }
 
 }  // namespace tamper::analysis

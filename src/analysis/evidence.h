@@ -12,6 +12,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <tuple>
 
 #include "analysis/record.h"
 #include "capture/sample.h"
@@ -80,6 +81,8 @@ class EvidenceCollector {
   std::size_t cap_;
   std::array<common::EmpiricalCdf, kBuckets> ipid_{};
   std::array<common::EmpiricalCdf, kBuckets> ttl_{};
+  template <class Self>  // the members above, in wire order
+  static auto fields(Self& c) { return std::tie(c.cap_, c.ipid_, c.ttl_); }
 };
 
 }  // namespace tamper::analysis

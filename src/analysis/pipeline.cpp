@@ -1,22 +1,11 @@
 #include "analysis/pipeline.h"
 
 #include <tuple>
-#include <type_traits>
 
+#include "common/codec.h"
 #include "obs/families.h"
 
 namespace tamper::analysis {
-
-namespace {
-
-/// ScannerStats in checkpoint order, for snapshot/restore/merge_from.
-constexpr std::array<std::uint64_t Pipeline::ScannerStats::*, 5> kScannerFields = {
-    &Pipeline::ScannerStats::connections,     &Pipeline::ScannerStats::no_tcp_options,
-    &Pipeline::ScannerStats::high_ttl,        &Pipeline::ScannerStats::syn_rst_matches,
-    &Pipeline::ScannerStats::syn_rst_zmap,
-};
-
-}  // namespace
 
 Pipeline::Pipeline(const world::World& world)
     : world_(world),
@@ -247,8 +236,7 @@ void Pipeline::snapshot(common::BinWriter& w) const {
     common::MutexLock lock(stats_mu_);
     for (const DegradedField& f : kDegradedFields) w.u64(degraded_.*f.member);
   }
-  for (const auto field : kScannerFields) w.u64(scanner_.*field);
-  w.i64(latest_ts_sec_);
+  common::codec::write(w, std::tie(scanner_, latest_ts_sec_));
 
   std::apply([&](auto... part) { ((this->*part).snapshot(w), ...); }, kParts);
   snapshot_bytes_.store(w.size() - start, std::memory_order_relaxed);
@@ -259,8 +247,7 @@ void Pipeline::restore(common::BinReader& r) {
     common::MutexLock lock(stats_mu_);
     for (const DegradedField& f : kDegradedFields) degraded_.*f.member = r.u64();
   }
-  for (const auto field : kScannerFields) scanner_.*field = r.u64();
-  latest_ts_sec_ = r.i64();
+  common::codec::read(r, std::tie(scanner_, latest_ts_sec_));
 
   std::apply([&](auto... part) { ((this->*part).restore(r), ...); }, kParts);
 
@@ -281,16 +268,10 @@ void Pipeline::merge_from(const Pipeline& other) {
     const DegradedStats od = other.degraded();
     for (const DegradedField& f : kDegradedFields) degraded_.*f.member += od.*f.member;
   }
-  for (const auto field : kScannerFields) scanner_.*field += other.scanner_.*field;
+  common::codec::add_into(scanner_, other.scanner_);
   if (other.latest_ts_sec_ > latest_ts_sec_) latest_ts_sec_ = other.latest_ts_sec_;
 
-  const auto merge = [](auto& mine, const auto& theirs) {
-    if constexpr (std::is_same_v<decltype(mine), obs::EpochRing&>)
-      mine.merge_from(theirs);
-    else
-      mine.merge(theirs);
-  };
-  std::apply([&](auto... part) { (merge(this->*part, other.*part), ...); }, kParts);
+  std::apply([&](auto... part) { ((this->*part).merge(other.*part), ...); }, kParts);
 }
 
 }  // namespace tamper::analysis

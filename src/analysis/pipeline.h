@@ -148,6 +148,11 @@ class Pipeline {
     std::uint64_t high_ttl = 0;
     std::uint64_t syn_rst_matches = 0;       ///< connections matching ⟨SYN → RST⟩
     std::uint64_t syn_rst_zmap = 0;          ///< ... attributable to ZMap
+    /// The counters in checkpoint order (common/codec.h).
+    static auto fields(auto& s) {
+      return std::tie(s.connections, s.no_tcp_options, s.high_ttl, s.syn_rst_matches,
+                      s.syn_rst_zmap);
+    }
   };
   [[nodiscard]] const ScannerStats& scanner_stats() const noexcept { return scanner_; }
 

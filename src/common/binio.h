@@ -101,6 +101,12 @@ class BinWriter {
   /// The bytes of one u64() / f64() call per element, in one copy.
   void u64s(std::span<const std::uint64_t> v) { put_all(v); }
   void f64s(std::span<const double> v) { put_all(v); }
+  /// One little-endian value of any fixed-width integer or IEEE type.
+  template <typename T>
+  void put(T v) {
+    v = to_le(v);
+    append(&v, sizeof v);
+  }
   void str(std::string_view s) {
     u64(s.size());
     append(s.data(), s.size());
@@ -144,11 +150,6 @@ class BinWriter {
     std::memcpy(buf_.data() + at, &v, sizeof v);
   }
   template <typename T>
-  void put(T v) {
-    v = to_le(v);
-    append(&v, sizeof v);
-  }
-  template <typename T>
   void put_all(std::span<const T> v) {
     if constexpr (std::endian::native == std::endian::little) {
       append(v.data(), v.size_bytes());
@@ -185,7 +186,7 @@ class BinReader {
   [[nodiscard]] std::size_t remaining() const noexcept { return size_ - pos_; }
   [[nodiscard]] bool exhausted() const noexcept { return pos_ == size_; }
 
- private:
+  /// The pair of BinWriter::put().
   template <typename T>
   [[nodiscard]] T load() {
     const std::uint8_t* p = take(sizeof(T));
@@ -199,6 +200,8 @@ class BinReader {
     }
     return v;
   }
+
+ private:
   [[nodiscard]] const std::uint8_t* take(std::size_t n) {
     if (n > remaining()) throw BinUnderrun();
     const std::uint8_t* p = data_ + pos_;

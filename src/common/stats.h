@@ -57,6 +57,11 @@ class EmpiricalCdf {
     samples_ = std::move(samples);
     sorted_ = false;
   }
+  /// Add `other`'s samples: the multiset union.
+  void merge(const EmpiricalCdf& other) {
+    samples_.insert(samples_.end(), other.samples_.begin(), other.samples_.end());
+    sorted_ = sorted_ && other.samples_.empty();
+  }
 
  private:
   void ensure_sorted() const;

@@ -3,7 +3,13 @@
 #include <algorithm>
 #include <limits>
 
+#include "common/codec.h"
 #include "common/json.h"
+
+template <>  // the ring's u8 merge byte (common/codec.h)
+struct tamper::common::codec::Wire<tamper::obs::SeriesMerge> {
+  static constexpr auto kCount = static_cast<std::uint8_t>(obs::SeriesMerge::kMax) + 1;
+};
 
 namespace tamper::obs {
 
@@ -95,7 +101,7 @@ EpochRing::SeriesMap::iterator EpochRing::record_at(SeriesMap::iterator pos,
   const SeriesKeyLess::View key{family, label};
   if (pos == series_.end() || SeriesKeyLess{}(key, pos->first)) {
     if (series_.size() >= config_.max_series) {
-      // Cap by sort order: a key past the cap is refused, and merge_from's
+      // Cap by sort order: a key past the cap is refused, and merge's
       // trim applies the same rule, so capacity pressure is deterministic.
       auto last = std::prev(series_.end());
       if (!SeriesKeyLess{}(key, last->first)) {
@@ -154,11 +160,15 @@ void EpochRing::Cursor::record_epoch(std::string_view family, std::string_view l
   valid_ = hint_ != series.end();
 }
 
-void EpochRing::merge_from(const EpochRing& other) {
+void EpochRing::merge(const EpochRing& other) {
   if (other.series_.empty()) return;
   // The identity ring adopts the data's epoch width, so a default-built
-  // merger target dumps fleet epochs at the PoPs' configured length.
-  if (series_.empty()) config_.epoch_length_sec = other.config_.epoch_length_sec;
+  // merger target dumps fleet epochs at the PoPs' configured length, and
+  // its newest epoch, which is unset while it is empty.
+  if (series_.empty()) {
+    config_.epoch_length_sec = other.config_.epoch_length_sec;
+    max_epoch_ = other.max_epoch_;
+  }
   for (const auto& [key, data] : other.series_) {
     auto it = series_.find(key);
     if (it == series_.end()) {
@@ -203,47 +213,18 @@ void EpochRing::trim() {
   }
 }
 
+// Every count in the ring's bytes is a u32.
 void EpochRing::snapshot(common::BinWriter& w) const {
-  w.i64(config_.epoch_length_sec);
-  w.u32(static_cast<std::uint32_t>(series_.size()));
-  for (const auto& [key, data] : series_) {
-    w.str(key.family);
-    w.str(key.label);
-    w.u8(static_cast<std::uint8_t>(data.merge));
-    w.u32(static_cast<std::uint32_t>(data.points.size()));
-    for (const auto& [epoch, value] : data.points) {
-      w.i64(epoch);
-      w.f64(value);
-    }
-  }
+  common::codec::write<std::uint32_t>(w, fields(*this));
 }
 
 void EpochRing::restore(common::BinReader& r) {
-  series_.clear();
-  config_.epoch_length_sec = r.i64();
+  common::codec::read<std::uint32_t>(r, fields(*this));
   if (config_.epoch_length_sec <= 0) config_.epoch_length_sec = 1;
-  const std::uint32_t nseries = r.u32();
-  bool any = false;
-  for (std::uint32_t i = 0; i < nseries; ++i) {
-    SeriesKey key;
-    key.family = r.str();
-    key.label = r.str();
-    SeriesData data;
-    const std::uint8_t merge = r.u8();
-    data.merge = merge == static_cast<std::uint8_t>(SeriesMerge::kMax)
-                     ? SeriesMerge::kMax
-                     : SeriesMerge::kSum;
-    const std::uint32_t npoints = r.u32();
-    for (std::uint32_t p = 0; p < npoints; ++p) {
-      const std::int64_t epoch = r.i64();
-      const double value = r.f64();
-      data.points.emplace(epoch, value);
-      max_epoch_ = any ? std::max(max_epoch_, epoch) : epoch;
-      any = true;
-    }
-    if (!data.points.empty()) series_.emplace(std::move(key), std::move(data));
-  }
-  trim();
+  max_epoch_ = std::numeric_limits<std::int64_t>::min();
+  for (const auto& [key, data] : series_)  // epochs increase: the last is the newest
+    if (!data.points.empty()) max_epoch_ = std::max(max_epoch_, data.points.rbegin()->first);
+  trim();  // also drops the empty series
 }
 
 std::int64_t EpochRing::min_epoch() const noexcept {

@@ -15,7 +15,7 @@
 //     time. Twin-seeded runs produce byte-identical rings; the fleet chaos
 //     campaigns byte-compare merged rings against a no-fault baseline.
 //   * Mergeable. The ring is a commutative monoid like every aggregator
-//     in analysis/aggregates.h: merge_from() is associative, commutative
+//     in analysis/aggregates.h: merge() is associative, commutative
 //     and confluent under the capacity trims (any key or epoch dropped at
 //     an intermediate merge is provably dropped by the final trim too), so
 //     the fleet merger can fold per-PoP rings in any arrival order or
@@ -37,6 +37,7 @@
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "common/binio.h"
@@ -88,6 +89,7 @@ struct SeriesKey {
   std::string family;
   std::string label;  ///< "" when the family is unlabeled
 
+  static auto fields(auto& k) { return std::tie(k.family, k.label); }  // wire order
   [[nodiscard]] bool operator<(const SeriesKey& o) const noexcept {
     return family != o.family ? family < o.family : label < o.label;
   }
@@ -124,6 +126,8 @@ struct SeriesKeyLess {
 struct SeriesData {
   SeriesMerge merge = SeriesMerge::kSum;
   std::map<std::int64_t, double> points;  ///< epoch -> value, sorted
+
+  static auto fields(auto& d) { return std::tie(d.merge, d.points); }  // wire order
 };
 
 /// A deterministic rate-shift event (see obs/anomaly.h for the scan).
@@ -172,14 +176,16 @@ class EpochRing {
   /// Fold another ring in: union of keys and epochs, kSum points add, kMax
   /// points max, then the capacity trims. Associative, commutative, and
   /// identity on a default-constructed ring — the fleet-merge contract.
-  void merge_from(const EpochRing& other);
+  void merge(const EpochRing& other);
 
   /// Byte-stable serialization (sorted walk). The epoch length rides along
   /// as data so an offline reader interprets epochs without the config; the
   /// capacity limits and drop counters are process-local and do not.
   void snapshot(common::BinWriter& w) const;
-  /// Replace all contents from a snapshot() payload. Throws
-  /// common::BinUnderrun on truncation.
+  /// Replace all contents from a snapshot() payload. The state codec
+  /// (common/codec.h) throws std::runtime_error unless series keys and each
+  /// series' epochs strictly increase and merge bytes are in range; then
+  /// empty series are dropped and the trims applied, as after a merge.
   void restore(common::BinReader& r);
 
   using SeriesMap = std::map<SeriesKey, SeriesData, SeriesKeyLess>;
@@ -212,6 +218,8 @@ class EpochRing {
   std::int64_t max_epoch_ = 0;  ///< valid only when !series_.empty()
   std::uint64_t recorded_points_ = 0;  ///< process-local, not serialized
   std::uint64_t dropped_points_ = 0;   ///< process-local, not serialized
+  template <class Self>  // the serialized members, in wire order
+  static auto fields(Self& r) { return std::tie(r.config_.epoch_length_sec, r.series_); }
 };
 
 /// Sorted-run recorder. The trends rollup records each labeled family as an

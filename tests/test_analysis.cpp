@@ -13,6 +13,7 @@
 #include "analysis/pipeline.h"
 #include "analysis/testlists.h"
 #include "common/rng.h"
+#include "obs/timeseries.h"
 
 namespace tamper::analysis {
 namespace {
@@ -401,8 +402,9 @@ TEST(Aggregates, OverlapSnapshotWritesFlowIdsInStdMapOrder) {
 
 enum class KeyOrder { kIncreasing, kRepeated, kDecreasing };
 
-// One hand-written payload per sum aggregator; `order` picks the second of
-// its two keys at one level (a country, an hour, an AS or a domain).
+// One hand-written payload per keyed level; `order` picks the second of its
+// two keys at that level (a country, an hour, an AS, a domain, an overlap
+// pair, a ring series or a ring epoch).
 struct DecodeCase {
   const char* name;
   std::function<void(common::BinWriter&, KeyOrder)> write;
@@ -480,6 +482,44 @@ TEST(Aggregates, RestoreRejectsRepeatedAndOutOfOrderKeys) {
          w.u64(0);  // seen_by_domain
        },
        [](common::BinReader& r) { category_aggregator().restore(r); }},
+      {"OverlapMatrix pair",
+       [](common::BinWriter& w, KeyOrder order) {
+         w.u64(2);
+         for (const std::uint64_t pair : {std::uint64_t{5}, pick<std::uint64_t>(order, 6, 5, 4)}) {
+           w.u64(pair);
+           w.u64(0);  // first state
+         }
+         write_zeros(w, OverlapMatrix::kStates * OverlapMatrix::kStates);
+       },
+       [](common::BinReader& r) { OverlapMatrix().restore(r); }},
+      {"EpochRing series",
+       [](common::BinWriter& w, KeyOrder order) {
+         w.i64(60);  // epoch length
+         w.u32(2);
+         for (const std::string& family : {std::string("b"), pick<std::string>(order, "c", "b", "a")}) {
+           w.str(family);
+           w.str("");  // label
+           w.u8(0);    // kSum
+           w.u32(1);
+           w.i64(2);
+           w.f64(1.0);
+         }
+       },
+       [](common::BinReader& r) { obs::EpochRing().restore(r); }},
+      {"EpochRing epoch",
+       [](common::BinWriter& w, KeyOrder order) {
+         w.i64(60);
+         w.u32(1);
+         w.str("connections");
+         w.str("");
+         w.u8(0);
+         w.u32(2);
+         for (const std::int64_t epoch : {std::int64_t{2}, pick<std::int64_t>(order, 3, 2, 1)}) {
+           w.i64(epoch);
+           w.f64(1.0);
+         }
+       },
+       [](common::BinReader& r) { obs::EpochRing().restore(r); }},
   };
   for (const DecodeCase& c : cases) {
     SCOPED_TRACE(c.name);
@@ -493,6 +533,68 @@ TEST(Aggregates, RestoreRejectsRepeatedAndOutOfOrderKeys) {
       c.write(bad, order);
       common::BinReader bad_reader(bad.bytes());
       EXPECT_THROW(c.restore(bad_reader), std::runtime_error);
+    }
+  }
+}
+
+// ---- Decode rule: values in range, counts the payload can hold ----
+
+// One hand-written payload per rule; `hostile` swaps one value for the
+// smallest one the rule refuses.
+struct HostileCase {
+  const char* name;
+  const char* error;  ///< part of the refusal's message
+  std::function<void(common::BinWriter&, bool hostile)> write;
+  std::function<void(common::BinReader&)> restore;
+};
+
+TEST(Aggregates, RestoreRejectsHostileValues) {
+  const std::vector<HostileCase> cases = {
+      {"overlap state equal to kStates", "value out of range",
+       [](common::BinWriter& w, bool hostile) {
+         w.u64(1);
+         w.u64(5);  // pair
+         w.u64(hostile ? OverlapMatrix::kStates : OverlapMatrix::kStates - 1);
+         write_zeros(w, OverlapMatrix::kStates * OverlapMatrix::kStates);
+       },
+       [](common::BinReader& r) { OverlapMatrix().restore(r); }},
+      {"ring merge byte 2", "value out of range",
+       [](common::BinWriter& w, bool hostile) {
+         w.i64(60);
+         w.u32(1);
+         w.str("overload_level");
+         w.str("");
+         w.u8(hostile ? 2 : 1);  // 1 is kMax
+         w.u32(1);
+         w.i64(2);
+         w.f64(1.0);
+       },
+       [](common::BinReader& r) { obs::EpochRing().restore(r); }},
+      // The count is refused before the map reserves room for it.
+      {"map count 2^40 before 16 bytes", "count exceeds the bytes left",
+       [](common::BinWriter& w, bool hostile) {
+         w.u64(hostile ? std::uint64_t{1} << 40 : 1);
+         w.u64(5);  // one (pair, state) entry: 16 bytes
+         w.u64(0);
+         if (!hostile) write_zeros(w, OverlapMatrix::kStates * OverlapMatrix::kStates);
+       },
+       [](common::BinReader& r) { OverlapMatrix().restore(r); }},
+  };
+  for (const HostileCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    common::BinWriter valid;
+    c.write(valid, false);
+    common::BinReader reader(valid.bytes());
+    ASSERT_NO_THROW(c.restore(reader));
+    EXPECT_TRUE(reader.exhausted());
+    common::BinWriter bad;
+    c.write(bad, true);
+    common::BinReader bad_reader(bad.bytes());
+    try {
+      c.restore(bad_reader);
+      ADD_FAILURE() << "restore accepted the hostile value";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(c.error), std::string::npos) << e.what();
     }
   }
 }

@@ -561,20 +561,30 @@ TEST(TimeseriesRing, MergeIsOrderAndGroupingInvariant) {
   const obs::EpochRing a = make(0, 1.0), b = make(2, 10.0), c = make(4, 100.0);
 
   obs::EpochRing left({.epoch_length_sec = 1, .max_epochs = 4, .max_series = 8});
-  left.merge_from(a);
-  left.merge_from(b);
-  left.merge_from(c);
+  left.merge(a);
+  left.merge(b);
+  left.merge(c);
   obs::EpochRing right({.epoch_length_sec = 1, .max_epochs = 4, .max_series = 8});
   // Different order AND different grouping (c+b folded first).
   obs::EpochRing cb({.epoch_length_sec = 1, .max_epochs = 4, .max_series = 8});
-  cb.merge_from(c);
-  cb.merge_from(b);
-  right.merge_from(cb);
-  right.merge_from(a);
+  cb.merge(c);
+  cb.merge(b);
+  right.merge(cb);
+  right.merge(a);
   EXPECT_EQ(ring_bytes(left), ring_bytes(right));
   // Identity: merging into a default ring reproduces the source bytes.
   obs::EpochRing identity;
-  identity.merge_from(a);
+  identity.merge(a);
+  EXPECT_EQ(ring_bytes(identity), ring_bytes(a));
+}
+
+TEST(TimeseriesRing, IdentityMergeKeepsEpochsBelowZero) {
+  // A restored ring may hold epochs below zero; the empty ring's unset
+  // newest epoch must not push them out of the window.
+  obs::EpochRing a({.epoch_length_sec = 1, .max_epochs = 4, .max_series = 8});
+  a.record_epoch("connections", "", obs::SeriesMerge::kSum, -500, 1.0);
+  obs::EpochRing identity;
+  identity.merge(a);
   EXPECT_EQ(ring_bytes(identity), ring_bytes(a));
 }
 
