@@ -37,22 +37,6 @@ using internal::trimmed;
   return std::string_view::npos;
 }
 
-void extract_includes(const std::vector<std::string>& strings_lines, FileIndex& out) {
-  for (std::size_t i = 0; i < strings_lines.size(); ++i) {
-    const std::string t = trimmed(strings_lines[i]);
-    if (t.empty() || t[0] != '#') continue;
-    std::size_t p = 1;
-    while (p < t.size() && (t[p] == ' ' || t[p] == '\t')) ++p;
-    if (t.compare(p, 7, "include") != 0) continue;
-    const std::size_t open = t.find('"', p + 7);
-    if (open == std::string::npos) continue;  // <system> include
-    const std::size_t close = t.find('"', open + 1);
-    if (close == std::string::npos) continue;
-    out.includes.push_back(
-        {t.substr(open + 1, close - open - 1), static_cast<int>(i + 1)});
-  }
-}
-
 /// Lexical scopes for lock tracking. Lambda bodies are separate functions
 /// whose execution is deferred, so locks held at the definition site are not
 /// ordered before locks the body takes: each lambda starts a fresh context.
@@ -377,11 +361,9 @@ void extract_function_decls(std::string_view stripped, FileIndex& out) {
 
 }  // namespace
 
-FileIndex index_file(const std::string& path, std::string_view stripped_text,
-                     std::string_view strings_text) {
+FileIndex index_file(const std::string& path, std::string_view stripped_text) {
   FileIndex out;
   out.path = path;
-  extract_includes(internal::split_lines(strings_text), out);
   extract_lock_nestings(stripped_text, out);
   // Function signatures matter only where other modules can see them.
   const auto dot = path.rfind('.');

@@ -1,9 +1,8 @@
-// Pass 1 of the two-pass analyzer: a per-file structural index (includes,
-// lock-acquisition nestings, exported function declarations, suppression
-// directives) that the cross-file rules R7, R8 and R13 evaluate over once
-// every file has been scanned. Per-file
-// extraction is pure and can run in parallel; merging is deterministic in
-// path order.
+// Pass 1 of the two-pass analyzer: a per-file structural index
+// (lock-acquisition nestings, exported function declarations, suppression
+// directives) that the cross-file rules R8 and R13 evaluate over once every
+// file has been scanned. Per-file extraction is pure and can run in
+// parallel; merging is deterministic in path order.
 #pragma once
 
 #include <cstddef>
@@ -15,13 +14,6 @@ namespace tamper::lint {
 
 struct Config;
 struct Finding;
-
-/// `#include "target"` — quoted includes only; system headers are invisible
-/// to layering by construction.
-struct IncludeSite {
-  std::string target;  ///< verbatim include string, e.g. "common/rng.h"
-  int line = 0;        ///< 1-based
-};
 
 /// `to` was constructed (MutexLock/UniqueLock) while `from` was still in
 /// scope in the same function body. Nodes are `Class::member` when the lock
@@ -56,7 +48,6 @@ struct FunctionDecl {
 
 struct FileIndex {
   std::string path;
-  std::vector<IncludeSite> includes;
   std::vector<LockNesting> lock_nestings;
   std::vector<FunctionDecl> functions;  ///< headers only (see FunctionDecl)
   /// suppressed[line0] holds rule ids suppressed on that 0-based line
@@ -65,19 +56,18 @@ struct FileIndex {
 };
 
 /// Extract the structural index of one file. `stripped_text` is the
-/// comments-and-strings-blanked form, `strings_text` the strings-kept form
-/// (both from internal::strip_literals, position-aligned with the source).
+/// comments-and-strings-blanked form (internal::strip_literals,
+/// position-aligned with the source).
 [[nodiscard]] FileIndex index_file(const std::string& path,
-                                   std::string_view stripped_text,
-                                   std::string_view strings_text);
+                                   std::string_view stripped_text);
 
 /// The merged repo index: per-file indices in ascending path order.
 struct RepoIndex {
   std::vector<FileIndex> files;  ///< sorted by path
 };
 
-/// Pass 2: evaluate R7 (layering), R8 (lock order) and R13 (raw
-/// ID-taxonomy parameters in cross-module headers) over the merged index.
+/// Pass 2: evaluate R8 (lock order) and R13 (raw ID-taxonomy parameters in
+/// cross-module headers) over the merged index.
 /// Findings honor per-line suppressions recorded in the index; the caller
 /// sorts and merges them with the per-file findings.
 [[nodiscard]] std::vector<Finding> repo_rule_findings(const RepoIndex& index,

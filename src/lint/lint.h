@@ -2,8 +2,8 @@
 //
 // A deliberately small linter (no libclang) in two passes. Pass A runs
 // token/line-level rules over each file independently; pass B builds a
-// repo-wide structural index (include graph, lock-acquisition nestings,
-// header declarations) and evaluates cross-file rules over it. Each rule
+// repo-wide structural index (lock-acquisition nestings, header
+// declarations) and evaluates cross-file rules over it. Each rule
 // encodes an invariant the paper's reproducibility or the service's
 // robustness depends on, with a per-site suppression syntax so exceptions
 // are always visible and justified in the diff:
@@ -28,10 +28,6 @@
 //
 // Cross-file rules (need the whole file set, evaluated by lint_repo):
 //
-//   R7  layering — module includes must follow the allowed-edge table in
-//       Config::layering (common at the bottom, tools at the top) and the
-//       include graph must be acyclic; an upward or sideways include is an
-//       architecture regression even when it happens to link.
 //   R8  lock order — the static acquisition graph of MutexLock/UniqueLock
 //       nestings must be cycle-free across the whole repo; a cycle is a
 //       potential deadlock TSan only reports when the interleaving fires.
@@ -44,13 +40,17 @@
 //       codecs and other genuine raw-representation boundaries carry
 //       per-site suppressions.
 //
-// Retired ids, not reused: R9 and R11 (switch exhaustiveness over the
-// signature taxonomy and the overload ladder) are -Werror=switch and
-// -Werror=switch-enum in the root CMakeLists.txt, on in every build; R12
-// (trends series resolve to a metric) is the typed obs::SeriesSource
-// catalog, which Pipeline::sample_trends switches over exhaustively; R6
-// (metric names snake_case, registered once) and R10 (registered families
-// match a DESIGN.md inventory) are the obs/families.h catalog, whose
+// Retired ids, not reused: R7 (module layering) is the build's own: each
+// module's include path holds only the modules it links, and configure
+// checks that the link graph is acyclic (src/CMakeLists.txt), so an upward
+// include does not compile (the Layering.* probes prove it). R9 and R11
+// (switch exhaustiveness over the signature taxonomy and the overload
+// ladder) are -Werror=switch and -Werror=switch-enum in the root
+// CMakeLists.txt, on in every build; R12 (trends series resolve to a
+// metric) is the typed obs::SeriesSource catalog, which
+// Pipeline::sample_trends switches over exhaustively; R6 (metric names
+// snake_case, registered once) and R10 (registered families match a
+// DESIGN.md inventory) are the obs/families.h catalog, whose
 // static_asserts and consteval obs::family() lookup the compiler checks.
 //
 // Suppression:  // tamperlint-allow(R3): <non-empty reason>
@@ -61,13 +61,12 @@
 
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 namespace tamper::lint {
 
 struct Finding {
-  std::string rule;     ///< "R0".."R13" (R6, R9, R10, R11, R12 retired)
+  std::string rule;     ///< "R0".."R13" (R6, R7, R9, R10, R11, R12 retired)
   std::string path;     ///< as given (normalized to forward slashes)
   int line = 0;         ///< 1-based
   std::string message;
@@ -100,37 +99,6 @@ struct Config {
   /// skipped).
   std::vector<std::string> exclude_dirs = {".git", "lint_fixtures"};
 
-  /// R7: the allowed-edge table. A file in module M (src/M/..., or the
-  /// top-level directory name for tools/tests/bench/examples) may include
-  /// its own module plus the listed ones; "*" means anything. Modules not
-  /// listed here are unchecked (fixture trees, vendored code).
-  std::vector<std::pair<std::string, std::vector<std::string>>> layering = {
-      {"common", {}},
-      {"lint", {}},
-      {"net", {"common"}},
-      {"appproto", {"common"}},
-      {"obs", {"common"}},
-      {"control", {"obs", "common"}},
-      {"tcp", {"net", "common"}},
-      {"capture", {"net", "common"}},
-      {"fault", {"capture", "net", "common"}},
-      {"core", {"capture", "net", "common"}},
-      {"middlebox", {"tcp", "appproto", "net", "common"}},
-      {"world", {"middlebox", "tcp", "appproto", "capture", "net", "common"}},
-      {"analysis",
-       {"world", "core", "middlebox", "tcp", "appproto", "capture", "obs", "net",
-        "common"}},
-      {"service",
-       {"control", "analysis", "world", "core", "middlebox", "tcp", "appproto",
-        "capture", "obs", "net", "common"}},
-      {"fleet",
-       {"service", "control", "fault", "analysis", "world", "core", "middlebox",
-        "tcp", "appproto", "capture", "obs", "net", "common"}},
-      {"tools", {"*"}},
-      {"tests", {"*"}},
-      {"bench", {"*"}},
-      {"examples", {"*"}},
-  };
   /// R13: parameter names (exact word, or "<word>_id") that denote a
   /// pipeline identifier and therefore demand the matching strong type
   /// from common/ids.h.
@@ -164,7 +132,7 @@ struct SourceFile {
 
 /// Lint a whole file set: per-file rules on every C++ source (in parallel
 /// across `jobs` threads; 0 means hardware concurrency) plus the cross-file
-/// rules (R7, R8, R13) over the merged index. Output is deterministic — sorted by
+/// rules (R8, R13) over the merged index. Output is deterministic — sorted by
 /// (path, line, rule, message) and byte-identical for every thread count.
 /// Non-C++ entries are ignored.
 [[nodiscard]] std::vector<Finding> lint_repo(const std::vector<SourceFile>& files,
@@ -191,5 +159,9 @@ struct SourceFile {
 
 /// The rule catalog (id + one-line summary), for --list-rules.
 [[nodiscard]] std::string rule_catalog();
+
+/// True for the id of a live rule a suppression may name (R1..R5, R8,
+/// R13). Retired ids and R0, which no directive can suppress, are not.
+[[nodiscard]] bool known_rule(std::string_view id);
 
 }  // namespace tamper::lint

@@ -1,4 +1,4 @@
-// Pass 2: the cross-file rules R7, R8 and R13, evaluated over the merged
+// Pass 2: the cross-file rules R8 and R13, evaluated over the merged
 // RepoIndex.
 // Everything here is deterministic by construction: files arrive sorted by
 // path, graph nodes are visited in sorted order, and every finding anchors
@@ -27,31 +27,6 @@ namespace {
   if (line0 >= file.suppressed.size()) return false;
   const auto& rules = file.suppressed[line0];
   return std::find(rules.begin(), rules.end(), rule) != rules.end();
-}
-
-/// Module of a repo-relative path: "src/<m>/..." → m, otherwise the first
-/// path component ("tools", "tests", ...).
-[[nodiscard]] std::string module_of(const std::string& path) {
-  std::vector<std::string> comps;
-  std::size_t start = 0;
-  while (start < path.size()) {
-    const std::size_t slash = path.find('/', start);
-    if (slash == std::string::npos) {
-      comps.push_back(path.substr(start));
-      break;
-    }
-    comps.push_back(path.substr(start, slash - start));
-    start = slash + 1;
-  }
-  if (comps.size() >= 3 && comps[0] == "src") return comps[1];
-  return comps.empty() ? "" : comps[0];
-}
-
-[[nodiscard]] const std::vector<std::string>* allowed_includes(const Config& config,
-                                                               const std::string& mod) {
-  for (const auto& [name, allowed] : config.layering)
-    if (name == mod) return &allowed;
-  return nullptr;
 }
 
 /// Deterministic strongly-connected components (Tarjan, iterative) over a
@@ -129,87 +104,6 @@ namespace {
     out << parts[i];
   }
   return out.str();
-}
-
-// ---------------------------------------------------------------- R7
-
-void rule_layering(const RepoIndex& index, const Config& config,
-                   std::vector<Finding>& out) {
-  std::set<std::string> known_modules;
-  for (const auto& [name, allowed] : config.layering) {
-    (void)allowed;
-    known_modules.insert(name);
-  }
-  std::set<std::string> paths;
-  for (const FileIndex& file : index.files) paths.insert(file.path);
-
-  // Edge check against the allowed-edge table.
-  for (const FileIndex& file : index.files) {
-    const std::string mod = module_of(file.path);
-    const auto* allowed = allowed_includes(config, mod);
-    if (allowed == nullptr) continue;  // unknown module: unchecked
-    const bool any = std::find(allowed->begin(), allowed->end(), "*") != allowed->end();
-    for (const IncludeSite& inc : file.includes) {
-      const std::size_t slash = inc.target.find('/');
-      if (slash == std::string::npos) continue;  // same-directory include
-      const std::string target_mod = inc.target.substr(0, slash);
-      if (target_mod == mod || known_modules.count(target_mod) == 0) continue;
-      if (any || std::find(allowed->begin(), allowed->end(), target_mod) !=
-                     allowed->end())
-        continue;
-      if (suppressed_at(file, inc.line, "R7")) continue;
-      out.push_back(
-          {"R7", file.path, inc.line,
-           "layering violation: module '" + mod + "' may not include '" +
-               inc.target + "' (module '" + target_mod + "'); allowed below '" +
-               mod + "': " +
-               (allowed->empty() ? std::string("nothing") : join(*allowed, ", "))});
-    }
-  }
-
-  // Cycle check over the resolved file-level include graph.
-  std::map<std::string, std::set<std::string>> graph;
-  const auto resolve = [&](const std::string& includer,
-                           const std::string& target) -> std::string {
-    if (paths.count("src/" + target) != 0) return "src/" + target;
-    if (paths.count(target) != 0) return target;
-    const std::size_t slash = includer.rfind('/');
-    if (slash != std::string::npos) {
-      const std::string sibling = includer.substr(0, slash + 1) + target;
-      if (paths.count(sibling) != 0) return sibling;
-    }
-    return "";
-  };
-  for (const FileIndex& file : index.files) {
-    graph[file.path];  // ensure every file is a node
-    for (const IncludeSite& inc : file.includes) {
-      const std::string target = resolve(file.path, inc.target);
-      if (!target.empty()) graph[file.path].insert(target);
-    }
-  }
-  for (const auto& scc : cyclic_sccs(graph)) {
-    // Anchor at the smallest member's first include into the cycle.
-    const std::string& anchor_path = scc[0];
-    const std::set<std::string> members(scc.begin(), scc.end());
-    int line = 1;
-    for (const FileIndex& file : index.files) {
-      if (file.path != anchor_path) continue;
-      for (const IncludeSite& inc : file.includes) {
-        const std::string target = resolve(file.path, inc.target);
-        if (members.count(target) != 0) {
-          line = inc.line;
-          break;
-        }
-      }
-      if (suppressed_at(file, line, "R7")) line = -1;
-      break;
-    }
-    if (line < 0) continue;
-    std::vector<std::string> cycle(scc.begin(), scc.end());
-    out.push_back({"R7", anchor_path, line,
-                   "include cycle among: " + join(cycle, " -> ") +
-                       "; the include graph must be acyclic"});
-  }
 }
 
 // ---------------------------------------------------------------- R8
@@ -335,7 +229,6 @@ void rule_raw_id_params(const RepoIndex& index, const Config& config,
 
 std::vector<Finding> repo_rule_findings(const RepoIndex& index, const Config& config) {
   std::vector<Finding> out;
-  if (rule_enabled(config, "R7")) rule_layering(index, config, out);
   if (rule_enabled(config, "R8")) rule_lock_order(index, config, out);
   if (rule_enabled(config, "R13")) rule_raw_id_params(index, config, out);
   return out;

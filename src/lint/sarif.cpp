@@ -30,8 +30,6 @@ constexpr RuleMeta kRules[] = {
      "No reinterpret_cast in src/net/ beyond the char* stream-I/O bridge"},
     {"R5", "HeaderHygiene",
      "Headers use #pragma once and never `using namespace`"},
-    {"R7", "Layering",
-     "Module includes follow the allowed-edge table; the include graph is acyclic"},
     {"R8", "LockOrder",
      "The static mutex acquisition-order graph is cycle-free (no potential deadlock)"},
     {"R13", "StrongIdParameters",

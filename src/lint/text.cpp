@@ -9,8 +9,7 @@ bool ident_char(char c) noexcept {
   return (std::isalnum(static_cast<unsigned char>(c)) != 0) || c == '_';
 }
 
-std::string strip_literals(std::string_view src, bool keep_comments,
-                           bool keep_strings) {
+std::string strip_literals(std::string_view src, bool keep_comments) {
   std::string out(src.size(), ' ');
   enum class State { kCode, kLine, kBlock, kString, kChar, kRaw } state = State::kCode;
   std::string raw_delim;  // raw-string closing delimiter: ")delim\""
@@ -66,17 +65,11 @@ std::string strip_literals(std::string_view src, bool keep_comments,
         break;
       case State::kString:
         if (c == '\\') {
-          if (keep_strings) {
-            out[i] = c;
-            if (i + 1 < src.size() && src[i + 1] != '\n') out[i + 1] = src[i + 1];
-          }
           ++i;
           if (i < src.size() && src[i] == '\n') out[i] = '\n';
         } else if (c == '"') {
           out[i] = '"';
           state = State::kCode;
-        } else if (keep_strings && c != '\n') {
-          out[i] = c;
         }
         break;
       case State::kChar:

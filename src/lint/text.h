@@ -17,12 +17,9 @@ namespace tamper::lint::internal {
 /// the everything-stripped form so they never fire on prose or test strings;
 /// the directive scanner runs on the comments-kept form, because directives
 /// live in comments but must not fire on string literals that merely mention
-/// the directive syntax. `keep_strings` preserves string-literal contents
-/// instead (the include extractor reads targets out of them); all three forms are
-/// position-aligned with the source, so structure found in one form can be
-/// read out of another.
-[[nodiscard]] std::string strip_literals(std::string_view src, bool keep_comments,
-                                         bool keep_strings = false);
+/// the directive syntax. Both forms are position-aligned with the source, so
+/// structure found in one form can be read out of the other.
+[[nodiscard]] std::string strip_literals(std::string_view src, bool keep_comments);
 
 [[nodiscard]] std::vector<std::string> split_lines(std::string_view text);
 

@@ -139,9 +139,13 @@ TEST(ClientEndpoint, SynOnlyVanishesImmediately) {
 }
 
 struct CancelCase {
+  const char* name;  ///< the ClientKind, for the test name
   ClientKind kind;
   std::uint8_t expected_flags;  // 0 = expects silence
 };
+
+// Names each case by its client kind instead of gtest's raw-byte print.
+void PrintTo(const CancelCase& c, std::ostream* os) { *os << c.name; }
 
 class SynAckCancelSweep : public ::testing::TestWithParam<CancelCase> {};
 
@@ -165,10 +169,11 @@ TEST_P(SynAckCancelSweep, RespondsAsSpecified) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Kinds, SynAckCancelSweep,
-                         ::testing::Values(CancelCase{ClientKind::kRstOnSynAck, kRst},
-                                           CancelCase{ClientKind::kRstAckOnSynAck,
-                                                      kRst | kAck},
-                                           CancelCase{ClientKind::kVanishOnSynAck, 0}));
+                         ::testing::Values(
+                             CancelCase{"RstOnSynAck", ClientKind::kRstOnSynAck, kRst},
+                             CancelCase{"RstAckOnSynAck", ClientKind::kRstAckOnSynAck,
+                                        kRst | kAck},
+                             CancelCase{"VanishOnSynAck", ClientKind::kVanishOnSynAck, 0}));
 
 TEST(ServerEndpoint, SynGetsSynAck) {
   auto config = server_config();

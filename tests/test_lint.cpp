@@ -172,15 +172,16 @@ TEST(LintR0, MalformedDirectivesAreFindingsAndSuppressNothing) {
 }
 
 TEST(LintR0, RetiredRuleIdsSuppressNothing) {
-  // R6, R9, R10, R11 and R12 were retired; their ids are not reused, so an
-  // old directive naming one is reported instead of silently accepted.
+  // R6, R7, R9, R10, R11 and R12 were retired; their ids are not reused, so
+  // an old directive naming one is reported instead of silently accepted.
   const auto findings =
       lint_source("src/core/use.cpp",
                   "int x = 0;  // tamperlint-allow(R6): retired rule\n"
                   "int y = 0;  // tamperlint-allow(R9): retired rule\n"
-                  "int z = 0;  // tamperlint-allow(R10): retired rule\n",
+                  "int z = 0;  // tamperlint-allow(R10): retired rule\n"
+                  "int w = 0;  // tamperlint-allow(R7): retired rule\n",
                   {});
-  EXPECT_EQ(count_rule(findings, "R0"), 3) << tamper::lint::format_text(findings);
+  EXPECT_EQ(count_rule(findings, "R0"), 4) << tamper::lint::format_text(findings);
 }
 
 TEST(LintConfig, RuleFilterRestrictsOutput) {
@@ -212,28 +213,6 @@ TEST(LintOutput, DeterministicAndMachineReadable) {
   const std::string json = tamper::lint::format_json(a);
   EXPECT_NE(json.find("\"rule\": \"R4\""), std::string::npos);
   EXPECT_NE(json.find("\"line\": "), std::string::npos);
-}
-
-// ---------------------------------------------------------------- R7
-
-TEST(LintR7, FiresOnUpwardInclude) {
-  const auto findings = lint_repo(load_repo("r7_fire"), {});
-  EXPECT_EQ(count_rule(findings, "R7"), 1) << tamper::lint::format_text(findings);
-  ASSERT_FALSE(findings.empty());
-  EXPECT_EQ(findings[0].path, "src/net/n.h");
-  EXPECT_NE(findings[0].message.find("module 'net'"), std::string::npos)
-      << findings[0].message;
-}
-
-TEST(LintR7, SuppressionOnTheIncludeLineSilencesIt) {
-  const auto findings = lint_repo(load_repo("r7_suppressed"), {});
-  EXPECT_EQ(count_rule(findings, "R7"), 0) << tamper::lint::format_text(findings);
-  EXPECT_EQ(count_rule(findings, "R0"), 0);
-}
-
-TEST(LintR7, QuietOnDownwardInclude) {
-  const auto findings = lint_repo(load_repo("r7_clean"), {});
-  EXPECT_TRUE(findings.empty()) << tamper::lint::format_text(findings);
 }
 
 // ---------------------------------------------------------------- R8
@@ -311,12 +290,10 @@ TEST(LintR13, ScopedToSrcHeadersAndFiresExactlyOnce) {
 
 TEST(LintSeeded, ExactlyOneFindingPerCrossFileRule) {
   const auto findings = lint_repo(load_repo("repo_seeded"), {});
-  EXPECT_EQ(findings.size(), 3u) << tamper::lint::format_text(findings);
-  EXPECT_EQ(count_rule(findings, "R7"), 1);
+  EXPECT_EQ(findings.size(), 2u) << tamper::lint::format_text(findings);
   EXPECT_EQ(count_rule(findings, "R8"), 1);
   EXPECT_EQ(count_rule(findings, "R13"), 1);
   const std::map<std::string, std::string> expected_path = {
-      {"R7", "src/world/a.h"},
       {"R8", "src/service/spool.cpp"},
       {"R13", "src/fleet/route.h"},
   };
@@ -480,7 +457,7 @@ struct JsonParser {
 
 TEST(LintSarif, ValidatesAgainstThe210Shape) {
   const auto findings = lint_repo(load_repo("repo_seeded"), {});
-  ASSERT_EQ(findings.size(), 3u);
+  ASSERT_EQ(findings.size(), 2u);
   const std::string sarif = tamper::lint::format_sarif(findings);
 
   JsonParser parser{sarif};
@@ -507,7 +484,7 @@ TEST(LintSarif, ValidatesAgainstThe210Shape) {
   EXPECT_EQ(driver->get("name")->str, "tamperlint");
   const JsonValue* rules = driver->get("rules");
   ASSERT_NE(rules, nullptr);
-  EXPECT_EQ(rules->array.size(), 9u);  // R0..R13 less the retired R6, R9..R12
+  EXPECT_EQ(rules->array.size(), 8u);  // R0..R13 less the retired R6, R7, R9..R12
   for (const JsonValue& rule : rules->array) {
     ASSERT_NE(rule.get("id"), nullptr);
     ASSERT_NE(rule.get("shortDescription"), nullptr);
@@ -557,13 +534,13 @@ TEST(LintSarif, FingerprintsAreStableAcrossRuns) {
 
 TEST(LintBaseline, RoundTripsAndDropsMatchedFindings) {
   auto findings = lint_repo(load_repo("repo_seeded"), {});
-  ASSERT_EQ(findings.size(), 3u);
+  ASSERT_EQ(findings.size(), 2u);
   const std::string serialized = tamper::lint::format_baseline(findings);
 
   std::vector<std::string> errors;
   const auto parsed = tamper::lint::parse_baseline(serialized, errors);
   EXPECT_TRUE(errors.empty());
-  EXPECT_EQ(parsed.size(), 3u);
+  EXPECT_EQ(parsed.size(), 2u);
 
   const auto stale = tamper::lint::apply_baseline(findings, parsed);
   EXPECT_TRUE(findings.empty()) << tamper::lint::format_text(findings);
@@ -572,7 +549,7 @@ TEST(LintBaseline, RoundTripsAndDropsMatchedFindings) {
 
 TEST(LintBaseline, MatchesWithoutLineNumbersAndReportsStaleEntries) {
   auto findings = lint_repo(load_repo("repo_seeded"), {});
-  ASSERT_EQ(findings.size(), 3u);
+  ASSERT_EQ(findings.size(), 2u);
   std::vector<tamper::lint::BaselineEntry> baseline;
   // Accept only the R13 finding, plus one entry for a finding that no longer
   // exists (its message changed) — that entry must come back stale.
@@ -581,7 +558,7 @@ TEST(LintBaseline, MatchesWithoutLineNumbersAndReportsStaleEntries) {
   baseline.push_back({"R13", "src/fleet/route.h", "an old message"});
 
   const auto stale = tamper::lint::apply_baseline(findings, baseline);
-  EXPECT_EQ(findings.size(), 2u);
+  EXPECT_EQ(findings.size(), 1u);
   EXPECT_EQ(count_rule(findings, "R13"), 0);
   ASSERT_EQ(stale.size(), 1u);
   EXPECT_EQ(stale[0].message, "an old message");
@@ -590,7 +567,7 @@ TEST(LintBaseline, MatchesWithoutLineNumbersAndReportsStaleEntries) {
 TEST(LintBaseline, MalformedLinesAreErrorsNotSilentAcceptance) {
   std::vector<std::string> errors;
   const auto parsed = tamper::lint::parse_baseline(
-      "# comment\nR7 src/world/a.h no tabs here\n", errors);
+      "# comment\nR8 src/service/spool.cpp no tabs here\n", errors);
   EXPECT_TRUE(parsed.empty());
   ASSERT_EQ(errors.size(), 1u);
   EXPECT_NE(errors[0].find("baseline line 2"), std::string::npos) << errors[0];
@@ -601,11 +578,12 @@ TEST(LintBaseline, MalformedLinesAreErrorsNotSilentAcceptance) {
 TEST(LintManifest, WalkFormatParseRoundTrip) {
   std::vector<std::string> errors;
   const auto walked = tamper::lint::walk_sources(
-      std::string(LINT_FIXTURE_DIR) + "/r7_fire", {}, errors);
+      std::string(LINT_FIXTURE_DIR) + "/r13_scoped", {}, errors);
   EXPECT_TRUE(errors.empty());
-  ASSERT_EQ(walked.size(), 2u);
-  EXPECT_EQ(walked[0], "src/net/n.h");
-  EXPECT_EQ(walked[1], "src/tcp/t.h");
+  ASSERT_EQ(walked.size(), 3u);
+  EXPECT_EQ(walked[0], "src/fleet/api.cpp");
+  EXPECT_EQ(walked[1], "src/fleet/api.h");
+  EXPECT_EQ(walked[2], "tools/cli.h");
 
   const std::string serialized = tamper::lint::format_manifest(walked);
   EXPECT_EQ(tamper::lint::parse_manifest(serialized), walked);
@@ -622,9 +600,9 @@ TEST(LintManifest, FormatSortsAndDeduplicates) {
 
 TEST(LintCatalog, ListsTheCrossFileRules) {
   const std::string catalog = tamper::lint::rule_catalog();
-  for (const char* id : {"R7", "R8", "R13"})
+  for (const char* id : {"R8", "R13"})
     EXPECT_NE(catalog.find(id), std::string::npos) << id;
-  for (const char* retired : {"R6", "R9", "R10", "R11", "R12"})
+  for (const char* retired : {"R6", "R7", "R9", "R10", "R11", "R12"})
     EXPECT_EQ(catalog.find(retired), std::string::npos) << retired;
 }
 

@@ -85,6 +85,13 @@ TEST(SimClock, FormatDate) {
 struct DateCase {
   int year, month, day;
 };
+
+// Names each case by its date instead of gtest's raw-byte print.
+void PrintTo(const DateCase& d, std::ostream* os) {
+  *os << d.year << '-' << (d.month < 10 ? "0" : "") << d.month << '-'
+      << (d.day < 10 ? "0" : "") << d.day;
+}
+
 class CivilRoundTrip : public ::testing::TestWithParam<DateCase> {};
 
 TEST_P(CivilRoundTrip, Holds) {

@@ -6,7 +6,7 @@
 # Commits that touch no lintable surface — sources or the gate's own
 # manifest/baseline — skip the gate entirely. Anything else runs the full
 # manifest+baseline form: the cross-file pass is what catches a retyped
-# header signature firing R7/R13 in files the commit never touched, so
+# header signature firing R13 in files the commit never touched, so
 # there is no cheaper form for header changes.
 set -euo pipefail
 cd "$(dirname "$(readlink -f "$0")")/.."

@@ -24,10 +24,10 @@ namespace {
 constexpr const char* kUsage = R"(usage: tamperlint [options] [path...]
 
 Runs libtamper's contract lint over C++ sources: per-file rules R0-R5 plus
-the cross-file rules R7, R8 and R13 (layering, lock order, strong ID
-parameters). Paths may be files or directories (recursed; build*/,
-.git/, lint_fixtures/ skipped). With no paths and no manifest, lints
-src tools tests bench examples under --root.
+the cross-file rules R8 and R13 (lock order, strong ID parameters). Paths
+may be files or directories (recursed; build*/, .git/, lint_fixtures/
+skipped). With no paths and no manifest, lints src tools tests bench
+examples under --root.
 
 options:
   --root=DIR            repository root; manifest/default paths resolve
@@ -44,7 +44,8 @@ options:
   --format=FMT          text (default), json, or sarif
   --output=FILE         write findings to FILE instead of stdout
   --jobs=N              per-file scan threads (default: hardware concurrency)
-  --rules=R1,R7         run only the listed rules (default: all)
+  --rules=R1,R8         run only the listed rules (default: all); an
+                        unknown or retired id is a usage error
   --list-rules          print the rule catalog and exit
   -h, --help            this help
 )";
@@ -134,6 +135,12 @@ int main(int argc, char** argv) {
       jobs = std::atoi(value("--jobs=").c_str());
     } else if (arg.rfind("--rules=", 0) == 0) {
       config.rules = split_csv(value("--rules="));
+      for (const std::string& id : config.rules)
+        if (id != "R0" && !tamper::lint::known_rule(id)) {
+          std::cerr << "tamperlint: --rules: unknown rule id '" << id
+                    << "' (see --list-rules)\n";
+          return 2;
+        }
     } else if (arg == "--list-rules") {
       std::cout << tamper::lint::rule_catalog();
       return 0;
