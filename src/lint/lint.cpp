@@ -1,13 +1,11 @@
 #include "lint/lint.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cctype>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <sstream>
-#include <thread>
 
 #include "lint/index.h"
 #include "lint/text.h"
@@ -31,14 +29,15 @@ using internal::trimmed;
   return path.ends_with(".h") || path.ends_with(".hpp");
 }
 
-[[nodiscard]] bool is_source_file_path(const std::string& path) {
+[[nodiscard]] bool is_source_file(const std::string& path) {
   return path.ends_with(".h") || path.ends_with(".hpp") || path.ends_with(".cc") ||
          path.ends_with(".cpp") || path.ends_with(".cxx");
 }
 
-[[nodiscard]] bool is_source_file(const fs::path& p) {
-  const std::string ext = p.extension().string();
-  return ext == ".h" || ext == ".hpp" || ext == ".cc" || ext == ".cpp" || ext == ".cxx";
+/// Directories a tree walk never enters: build trees, VCS metadata, and the
+/// lint's own violation fixtures.
+[[nodiscard]] bool is_skipped_dir(const std::string& name) {
+  return name.starts_with("build") || name == ".git" || name == "lint_fixtures";
 }
 
 constexpr std::string_view kAllowDirective = "tamperlint-allow(";
@@ -293,56 +292,26 @@ std::vector<Finding> lint_source(std::string path, std::string_view content,
 }
 
 std::vector<Finding> lint_repo(const std::vector<SourceFile>& files,
-                               const Config& config, int jobs) {
-  // Deterministic order: sort by path up front; every downstream stage
-  // (index merge, graph walks, final sort) sees the same sequence no
-  // matter how many threads scanned.
+                               const Config& config) {
+  // Deterministic order: sort by path up front so the index merge, the
+  // graph walks and the final sort see the same sequence whatever order
+  // the files arrived in.
   std::vector<const SourceFile*> ordered;
   ordered.reserve(files.size());
   for (const SourceFile& f : files) ordered.push_back(&f);
   std::sort(ordered.begin(), ordered.end(),
             [](const SourceFile* a, const SourceFile* b) { return a->path < b->path; });
 
-  struct Slot {
-    std::vector<Finding> findings;
-    FileIndex index;
-    bool indexed = false;
-  };
-  std::vector<Slot> slots(ordered.size());
-
-  unsigned n = jobs > 0 ? static_cast<unsigned>(jobs)
-                        : std::max(1u, std::thread::hardware_concurrency());
-  n = std::min<unsigned>({n, 16u, static_cast<unsigned>(std::max<std::size_t>(
-                                      ordered.size(), 1))});
-
-  std::atomic<std::size_t> next{0};
-  const auto worker = [&] {
-    while (true) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= ordered.size()) return;
-      std::string path = ordered[i]->path;
-      std::replace(path.begin(), path.end(), '\\', '/');
-      if (!is_source_file_path(path)) continue;
-      slots[i].findings = lint_one(path, ordered[i]->content, config, &slots[i].index);
-      slots[i].indexed = true;
-    }
-  };
-  if (n <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(n);
-    for (unsigned t = 0; t < n; ++t) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
-  }
-
-  // Serial merge in path order, then the cross-file pass.
   std::vector<Finding> findings;
   RepoIndex repo;
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    findings.insert(findings.end(), std::make_move_iterator(slots[i].findings.begin()),
-                    std::make_move_iterator(slots[i].findings.end()));
-    if (slots[i].indexed) repo.files.push_back(std::move(slots[i].index));
+  for (const SourceFile* file : ordered) {
+    std::string path = file->path;
+    std::replace(path.begin(), path.end(), '\\', '/');
+    if (!is_source_file(path)) continue;
+    FileIndex index;
+    const std::vector<Finding> local = lint_one(path, file->content, config, &index);
+    findings.insert(findings.end(), local.begin(), local.end());
+    repo.files.push_back(std::move(index));
   }
   const std::vector<Finding> cross = repo_rule_findings(repo, config);
   findings.insert(findings.end(), cross.begin(), cross.end());
@@ -356,95 +325,64 @@ std::vector<Finding> lint_repo(const std::vector<SourceFile>& files,
   return findings;
 }
 
-std::vector<Finding> lint_paths(const std::vector<std::string>& paths,
+std::vector<Finding> lint_paths(const std::string& root, std::vector<std::string> paths,
                                 const Config& config, std::vector<std::string>& errors) {
-  std::vector<std::string> files;
-  for (const auto& p : paths) {
+  // With no paths, walk the standard source directories; one that does not
+  // exist is simply absent, where a named path that does not exist is an
+  // error.
+  const bool walk_defaults = paths.empty();
+  if (walk_defaults) paths = {"src", "tools", "tests", "bench", "examples"};
+
+  // Each file is read from root/<name> and reported as <name>.
+  std::vector<std::string> names;
+  for (const std::string& p : paths) {
+    const fs::path on_disk = fs::path(root) / p;
     std::error_code ec;
-    if (fs::is_directory(p, ec)) {
-      fs::recursive_directory_iterator it(p, fs::directory_options::skip_permission_denied, ec);
+    if (fs::is_directory(on_disk, ec)) {
+      fs::recursive_directory_iterator it(on_disk,
+                                          fs::directory_options::skip_permission_denied, ec);
       if (ec) {
         errors.push_back(p + ": " + ec.message());
         continue;
       }
       for (auto end = fs::recursive_directory_iterator(); it != end; ++it) {
-        const std::string name = it->path().filename().string();
         if (it->is_directory()) {
-          const bool excluded =
-              name.rfind("build", 0) == 0 ||
-              std::find(config.exclude_dirs.begin(), config.exclude_dirs.end(), name) !=
-                  config.exclude_dirs.end();
-          if (excluded) it.disable_recursion_pending();
+          if (is_skipped_dir(it->path().filename().string())) it.disable_recursion_pending();
           continue;
         }
-        if (it->is_regular_file() && is_source_file(it->path()))
-          files.push_back(it->path().string());
+        if (!it->is_regular_file()) continue;
+        const std::string name =
+            (fs::path(p) / it->path().lexically_relative(on_disk)).generic_string();
+        if (is_source_file(name)) names.push_back(name);
       }
-    } else if (fs::is_regular_file(p, ec)) {
-      files.push_back(p);
-    } else {
+    } else if (fs::is_regular_file(on_disk, ec)) {
+      names.push_back(p);
+    } else if (!walk_defaults) {
       errors.push_back(p + ": not a file or directory");
     }
   }
-  std::sort(files.begin(), files.end());
-  files.erase(std::unique(files.begin(), files.end()), files.end());
+  std::sort(names.begin(), names.end());
+  names.erase(std::unique(names.begin(), names.end()), names.end());
 
   std::vector<SourceFile> sources;
-  for (const auto& file : files) {
-    std::ifstream in(file, std::ios::binary);
+  sources.reserve(names.size());
+  for (std::string& name : names) {
+    std::ifstream in(fs::path(root) / name, std::ios::binary);
     if (!in) {
-      errors.push_back(file + ": unreadable");
+      errors.push_back(name + ": unreadable");
       continue;
     }
-    sources.push_back({file, std::string((std::istreambuf_iterator<char>(in)),
-                                         std::istreambuf_iterator<char>())});
+    std::string content((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+    sources.push_back({std::move(name), std::move(content)});
   }
-  return lint_repo(sources, config, /*jobs=*/1);
+  return lint_repo(sources, config);
 }
 
 std::string format_text(const std::vector<Finding>& findings) {
   std::ostringstream out;
   for (const auto& f : findings)
     out << f.path << ':' << f.line << ": " << f.rule << ": " << f.message << '\n';
-  return out.str();
-}
-
-namespace {
-void json_escape(std::ostringstream& out, const std::string& s) {
-  out << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr const char* kHex = "0123456789abcdef";
-          out << "\\u00" << kHex[(c >> 4) & 0xf] << kHex[c & 0xf];
-        } else {
-          out << c;
-        }
-    }
-  }
-  out << '"';
-}
-}  // namespace
-
-std::string format_json(const std::vector<Finding>& findings) {
-  std::ostringstream out;
-  out << "[\n";
-  for (std::size_t i = 0; i < findings.size(); ++i) {
-    const Finding& f = findings[i];
-    out << "  {\"rule\": ";
-    json_escape(out, f.rule);
-    out << ", \"path\": ";
-    json_escape(out, f.path);
-    out << ", \"line\": " << f.line << ", \"message\": ";
-    json_escape(out, f.message);
-    out << '}' << (i + 1 < findings.size() ? "," : "") << '\n';
-  }
-  out << "]\n";
   return out.str();
 }
 

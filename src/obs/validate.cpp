@@ -243,24 +243,6 @@ Validation validate_chrome_trace(std::string_view text) {
 
 namespace {
 
-/// Minimal JSON document model for the structural checks below. Objects
-/// keep their keys sorted (duplicate keys are a parse error), which is all
-/// the validator needs — it never re-emits.
-struct JsonValue {
-  enum class Kind : std::uint8_t { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::map<std::string, JsonValue> object;
-
-  [[nodiscard]] const JsonValue* get(const std::string& key) const {
-    const auto it = object.find(key);
-    return it == object.end() ? nullptr : &it->second;
-  }
-};
-
 /// Recursive-descent JSON parser, tracking the 1-based line for errors.
 class JsonParser {
  public:
@@ -459,6 +441,11 @@ class JsonParser {
 }
 
 }  // namespace
+
+bool parse_json(std::string_view text, JsonValue* out) {
+  *out = JsonValue{};
+  return JsonParser(text).parse(out);
+}
 
 Validation validate_timeseries_json(std::string_view text) {
   Validation result;

@@ -9,8 +9,10 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace tamper::obs {
 
@@ -21,6 +23,30 @@ struct Validation {
   std::size_t samples = 0;  ///< sample lines (prometheus) / events (trace)
   std::size_t families = 0; ///< TYPE-declared families (prometheus only)
 };
+
+/// Minimal JSON document model, shared by the structural checks here and by
+/// tests that check other JSON formats' shape (SARIF). Objects keep their
+/// keys sorted (duplicate keys are a parse error), which is all a validator
+/// needs — it never re-emits. `\uXXXX` escapes are validated but kept
+/// verbatim in `string`.
+struct JsonValue {
+  enum class Kind : std::uint8_t { kNull, kBool, kNumber, kString, kArray, kObject };
+  Kind kind = Kind::kNull;
+  bool boolean = false;
+  double number = 0.0;
+  std::string string;
+  std::vector<JsonValue> array;
+  std::map<std::string, JsonValue> object;
+
+  [[nodiscard]] const JsonValue* get(const std::string& key) const {
+    const auto it = object.find(key);
+    return it == object.end() ? nullptr : &it->second;
+  }
+};
+
+/// Parse one JSON document (recursive descent, no dependencies) into `out`.
+/// False on malformed input or trailing content.
+[[nodiscard]] bool parse_json(std::string_view text, JsonValue* out);
 
 /// Prometheus text exposition v0.0.4: every sample belongs to a family
 /// declared by a preceding # TYPE line; names are snake_case; label blocks

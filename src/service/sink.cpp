@@ -124,6 +124,11 @@ void ReportEmitter::spool(const std::string& payload) {
   {
     common::MutexLock lock(mu_);
     if (!out || !(out << payload).flush()) {
+      // Remove the torn entry: replay would otherwise deliver the truncated
+      // payload as if it were the report.
+      out.close();
+      std::error_code ec;
+      fs::remove(path, ec);
       ++stats_.lost;
       return;
     }

@@ -9,16 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cctype>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "lint/baseline.h"
+#include "obs/validate.h"
 
 namespace {
 
@@ -27,6 +25,7 @@ using tamper::lint::Finding;
 using tamper::lint::lint_repo;
 using tamper::lint::lint_source;
 using tamper::lint::SourceFile;
+using tamper::obs::JsonValue;
 
 std::string fixture(const std::string& name) {
   const std::string path = std::string(LINT_FIXTURE_DIR) + "/" + name;
@@ -210,9 +209,13 @@ TEST(LintOutput, DeterministicAndMachineReadable) {
   const auto b =
       lint_source("src/net/packet.cpp", fixture("r4_violation.cpp"), {});
   EXPECT_EQ(tamper::lint::format_text(a), tamper::lint::format_text(b));
-  const std::string json = tamper::lint::format_json(a);
-  EXPECT_NE(json.find("\"rule\": \"R4\""), std::string::npos);
-  EXPECT_NE(json.find("\"line\": "), std::string::npos);
+}
+
+TEST(LintOutput, ShuffledInputOrderDoesNotChangeOutput) {
+  auto files = load_repo("repo_seeded");
+  const std::string text = tamper::lint::format_text(lint_repo(files, {}));
+  std::reverse(files.begin(), files.end());
+  EXPECT_EQ(tamper::lint::format_text(lint_repo(files, {})), text);
 }
 
 // ---------------------------------------------------------------- R8
@@ -301,176 +304,24 @@ TEST(LintSeeded, ExactlyOneFindingPerCrossFileRule) {
     EXPECT_EQ(f.path, expected_path.at(f.rule)) << f.rule << ": " << f.message;
 }
 
-// ---------------------------------------------------------------- parallelism
-
-TEST(LintParallel, ByteIdenticalAcrossThreadCountsAndRuns) {
-  const auto files = load_repo("repo_seeded");
-  const auto baseline_run = lint_repo(files, {}, /*jobs=*/1);
-  const std::string text = tamper::lint::format_text(baseline_run);
-  const std::string json = tamper::lint::format_json(baseline_run);
-  const std::string sarif = tamper::lint::format_sarif(baseline_run);
-  for (const int jobs : {1, 2, 8}) {
-    for (int run = 0; run < 2; ++run) {
-      const auto again = lint_repo(files, {}, jobs);
-      EXPECT_EQ(tamper::lint::format_text(again), text) << "jobs=" << jobs;
-      EXPECT_EQ(tamper::lint::format_json(again), json) << "jobs=" << jobs;
-      EXPECT_EQ(tamper::lint::format_sarif(again), sarif) << "jobs=" << jobs;
-    }
-  }
-}
-
-TEST(LintParallel, ShuffledInputOrderDoesNotChangeOutput) {
-  auto files = load_repo("repo_seeded");
-  const std::string text = tamper::lint::format_text(lint_repo(files, {}, 4));
-  std::reverse(files.begin(), files.end());
-  EXPECT_EQ(tamper::lint::format_text(lint_repo(files, {}, 4)), text);
-}
-
 // ---------------------------------------------------------------- SARIF
-
-/// A deliberately small JSON reader — just enough structure to validate the
-/// SARIF output against the 2.1.0 shape without external schema tooling.
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject } kind =
-      Kind::kNull;
-  bool boolean = false;
-  double number = 0;
-  std::string str;
-  std::vector<JsonValue> array;
-  std::map<std::string, JsonValue> object;
-
-  const JsonValue* get(const std::string& key) const {
-    const auto it = object.find(key);
-    return it == object.end() ? nullptr : &it->second;
-  }
-};
-
-struct JsonParser {
-  std::string_view text;
-  std::size_t pos = 0;
-  bool failed = false;
-
-  void skip() {
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos])) != 0)
-      ++pos;
-  }
-  bool eat(char c) {
-    skip();
-    if (pos < text.size() && text[pos] == c) {
-      ++pos;
-      return true;
-    }
-    failed = true;
-    return false;
-  }
-  JsonValue parse() {
-    JsonValue v;
-    skip();
-    if (pos >= text.size()) {
-      failed = true;
-      return v;
-    }
-    const char c = text[pos];
-    if (c == '{') {
-      v.kind = JsonValue::Kind::kObject;
-      ++pos;
-      skip();
-      if (pos < text.size() && text[pos] == '}') {
-        ++pos;
-        return v;
-      }
-      while (!failed) {
-        skip();
-        JsonValue key = parse_string();
-        if (failed || !eat(':')) break;
-        v.object.emplace(key.str, parse());
-        skip();
-        if (pos < text.size() && text[pos] == ',') {
-          ++pos;
-          continue;
-        }
-        eat('}');
-        break;
-      }
-    } else if (c == '[') {
-      v.kind = JsonValue::Kind::kArray;
-      ++pos;
-      skip();
-      if (pos < text.size() && text[pos] == ']') {
-        ++pos;
-        return v;
-      }
-      while (!failed) {
-        v.array.push_back(parse());
-        skip();
-        if (pos < text.size() && text[pos] == ',') {
-          ++pos;
-          continue;
-        }
-        eat(']');
-        break;
-      }
-    } else if (c == '"') {
-      v = parse_string();
-    } else if (c == 't' || c == 'f') {
-      v.kind = JsonValue::Kind::kBool;
-      v.boolean = c == 't';
-      pos += c == 't' ? 4 : 5;
-    } else if (c == 'n') {
-      pos += 4;
-    } else {
-      v.kind = JsonValue::Kind::kNumber;
-      std::size_t end = pos;
-      while (end < text.size() &&
-             (std::isdigit(static_cast<unsigned char>(text[end])) != 0 ||
-              text[end] == '-' || text[end] == '+' || text[end] == '.' ||
-              text[end] == 'e' || text[end] == 'E'))
-        ++end;
-      v.number = std::stod(std::string(text.substr(pos, end - pos)));
-      pos = end;
-    }
-    return v;
-  }
-  JsonValue parse_string() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kString;
-    if (!eat('"')) return v;
-    while (pos < text.size() && text[pos] != '"') {
-      if (text[pos] == '\\' && pos + 1 < text.size()) {
-        const char esc = text[pos + 1];
-        if (esc == 'n') v.str.push_back('\n');
-        else if (esc == 't') v.str.push_back('\t');
-        else if (esc == 'u') {
-          pos += 4;  // \u00XX — fixture messages only use control escapes
-          v.str.push_back('?');
-        } else v.str.push_back(esc);
-        pos += 2;
-        continue;
-      }
-      v.str.push_back(text[pos++]);
-    }
-    if (!eat('"')) failed = true;
-    return v;
-  }
-};
 
 TEST(LintSarif, ValidatesAgainstThe210Shape) {
   const auto findings = lint_repo(load_repo("repo_seeded"), {});
   ASSERT_EQ(findings.size(), 2u);
   const std::string sarif = tamper::lint::format_sarif(findings);
 
-  JsonParser parser{sarif};
-  const JsonValue doc = parser.parse();
-  ASSERT_FALSE(parser.failed) << "SARIF output is not well-formed JSON";
+  JsonValue doc;
+  ASSERT_TRUE(tamper::obs::parse_json(sarif, &doc))
+      << "SARIF output is not well-formed JSON";
   ASSERT_EQ(doc.kind, JsonValue::Kind::kObject);
 
   const JsonValue* schema = doc.get("$schema");
   ASSERT_NE(schema, nullptr);
-  EXPECT_NE(schema->str.find("sarif-schema-2.1.0"), std::string::npos);
+  EXPECT_NE(schema->string.find("sarif-schema-2.1.0"), std::string::npos);
   const JsonValue* version = doc.get("version");
   ASSERT_NE(version, nullptr);
-  EXPECT_EQ(version->str, "2.1.0");
+  EXPECT_EQ(version->string, "2.1.0");
 
   const JsonValue* runs = doc.get("runs");
   ASSERT_NE(runs, nullptr);
@@ -481,7 +332,7 @@ TEST(LintSarif, ValidatesAgainstThe210Shape) {
   ASSERT_NE(tool, nullptr);
   const JsonValue* driver = tool->get("driver");
   ASSERT_NE(driver, nullptr);
-  EXPECT_EQ(driver->get("name")->str, "tamperlint");
+  EXPECT_EQ(driver->get("name")->string, "tamperlint");
   const JsonValue* rules = driver->get("rules");
   ASSERT_NE(rules, nullptr);
   EXPECT_EQ(rules->array.size(), 8u);  // R0..R13 less the retired R6, R7, R9..R12
@@ -503,11 +354,11 @@ TEST(LintSarif, ValidatesAgainstThe210Shape) {
     const int idx = static_cast<int>(rule_index->number);
     ASSERT_GE(idx, 0);
     ASSERT_LT(idx, static_cast<int>(rules->array.size()));
-    EXPECT_EQ(rules->array[static_cast<std::size_t>(idx)].get("id")->str,
-              rule_id->str);
-    EXPECT_EQ(result.get("level")->str, "error");
+    EXPECT_EQ(rules->array[static_cast<std::size_t>(idx)].get("id")->string,
+              rule_id->string);
+    EXPECT_EQ(result.get("level")->string, "error");
     ASSERT_NE(result.get("message"), nullptr);
-    EXPECT_FALSE(result.get("message")->get("text")->str.empty());
+    EXPECT_FALSE(result.get("message")->get("text")->string.empty());
     const JsonValue* locations = result.get("locations");
     ASSERT_NE(locations, nullptr);
     ASSERT_EQ(locations->array.size(), 1u);
@@ -515,8 +366,8 @@ TEST(LintSarif, ValidatesAgainstThe210Shape) {
     ASSERT_NE(phys, nullptr);
     const JsonValue* artifact = phys->get("artifactLocation");
     ASSERT_NE(artifact, nullptr);
-    EXPECT_FALSE(artifact->get("uri")->str.empty());
-    EXPECT_EQ(artifact->get("uriBaseId")->str, "SRCROOT");
+    EXPECT_FALSE(artifact->get("uri")->string.empty());
+    EXPECT_EQ(artifact->get("uriBaseId")->string, "SRCROOT");
     EXPECT_GE(phys->get("region")->get("startLine")->number, 1.0);
     const JsonValue* prints = result.get("partialFingerprints");
     ASSERT_NE(prints, nullptr);
@@ -530,72 +381,40 @@ TEST(LintSarif, FingerprintsAreStableAcrossRuns) {
             tamper::lint::format_sarif(lint_repo(files, {})));
 }
 
-// ---------------------------------------------------------------- baseline
+// ---------------------------------------------------------------- walk
 
-TEST(LintBaseline, RoundTripsAndDropsMatchedFindings) {
-  auto findings = lint_repo(load_repo("repo_seeded"), {});
-  ASSERT_EQ(findings.size(), 2u);
-  const std::string serialized = tamper::lint::format_baseline(findings);
+TEST(LintWalk, DefaultWalkSkipsBuildTreesAndFixtures) {
+  // A scratch tree with one source in each standard directory, plus a
+  // build tree and a lint_fixtures tree whose sources must never be read.
+  namespace fs = std::filesystem;
+  const fs::path root = fs::temp_directory_path() / "tamper_lint_walk";
+  fs::remove_all(root);
+  const auto write = [&](const std::string& rel, const std::string& text) {
+    fs::create_directories((root / rel).parent_path());
+    std::ofstream(root / rel) << text;
+  };
+  write("src/fleet/api.h", "#pragma once\nvoid route(int pop);\n");
+  write("tools/cli.cpp", "int main() { return 0; }\n");
+  write("tools/notes.txt", "not C++\n");
+  write("tools/build/gen.h", "using namespace std;\n");
+  write("src/build-asan/gen.h", "using namespace std;\n");
+  write("tests/lint_fixtures/r5.h", "using namespace std;\n");
 
   std::vector<std::string> errors;
-  const auto parsed = tamper::lint::parse_baseline(serialized, errors);
+  const auto findings = tamper::lint::lint_paths(root.string(), {}, {}, errors);
   EXPECT_TRUE(errors.empty());
-  EXPECT_EQ(parsed.size(), 2u);
+  // The only finding is the R13 in the walked header, named relative to
+  // the root; no R5 from the skipped trees.
+  ASSERT_EQ(findings.size(), 1u) << tamper::lint::format_text(findings);
+  EXPECT_EQ(findings[0].rule, "R13");
+  EXPECT_EQ(findings[0].path, "src/fleet/api.h");
 
-  const auto stale = tamper::lint::apply_baseline(findings, parsed);
-  EXPECT_TRUE(findings.empty()) << tamper::lint::format_text(findings);
-  EXPECT_TRUE(stale.empty());
-}
-
-TEST(LintBaseline, MatchesWithoutLineNumbersAndReportsStaleEntries) {
-  auto findings = lint_repo(load_repo("repo_seeded"), {});
-  ASSERT_EQ(findings.size(), 2u);
-  std::vector<tamper::lint::BaselineEntry> baseline;
-  // Accept only the R13 finding, plus one entry for a finding that no longer
-  // exists (its message changed) — that entry must come back stale.
-  for (const auto& f : findings)
-    if (f.rule == "R13") baseline.push_back({f.rule, f.path, f.message});
-  baseline.push_back({"R13", "src/fleet/route.h", "an old message"});
-
-  const auto stale = tamper::lint::apply_baseline(findings, baseline);
-  EXPECT_EQ(findings.size(), 1u);
-  EXPECT_EQ(count_rule(findings, "R13"), 0);
-  ASSERT_EQ(stale.size(), 1u);
-  EXPECT_EQ(stale[0].message, "an old message");
-}
-
-TEST(LintBaseline, MalformedLinesAreErrorsNotSilentAcceptance) {
-  std::vector<std::string> errors;
-  const auto parsed = tamper::lint::parse_baseline(
-      "# comment\nR8 src/service/spool.cpp no tabs here\n", errors);
-  EXPECT_TRUE(parsed.empty());
+  // A named path that does not exist is an error, not an empty scan.
+  const auto none = tamper::lint::lint_paths(root.string(), {"nope"}, {}, errors);
+  EXPECT_TRUE(none.empty());
   ASSERT_EQ(errors.size(), 1u);
-  EXPECT_NE(errors[0].find("baseline line 2"), std::string::npos) << errors[0];
-}
-
-// ---------------------------------------------------------------- manifest
-
-TEST(LintManifest, WalkFormatParseRoundTrip) {
-  std::vector<std::string> errors;
-  const auto walked = tamper::lint::walk_sources(
-      std::string(LINT_FIXTURE_DIR) + "/r13_scoped", {}, errors);
-  EXPECT_TRUE(errors.empty());
-  ASSERT_EQ(walked.size(), 3u);
-  EXPECT_EQ(walked[0], "src/fleet/api.cpp");
-  EXPECT_EQ(walked[1], "src/fleet/api.h");
-  EXPECT_EQ(walked[2], "tools/cli.h");
-
-  const std::string serialized = tamper::lint::format_manifest(walked);
-  EXPECT_EQ(tamper::lint::parse_manifest(serialized), walked);
-}
-
-TEST(LintManifest, FormatSortsAndDeduplicates) {
-  const std::string serialized = tamper::lint::format_manifest(
-      {"src/b.cpp", "src/a.cpp", "src/b.cpp"});
-  const auto parsed = tamper::lint::parse_manifest(serialized);
-  ASSERT_EQ(parsed.size(), 2u);
-  EXPECT_EQ(parsed[0], "src/a.cpp");
-  EXPECT_EQ(parsed[1], "src/b.cpp");
+  EXPECT_EQ(errors[0], "nope: not a file or directory");
+  fs::remove_all(root);
 }
 
 TEST(LintCatalog, ListsTheCrossFileRules) {

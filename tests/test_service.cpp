@@ -4,7 +4,9 @@
 // service-level contract — kill at any point loses at most one checkpoint
 // interval and never corrupts aggregate state.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -431,6 +433,40 @@ TEST(ReportEmitter, UnreadableSpoolEntryIsCountedAndQuarantined) {
   ASSERT_EQ(sink.delivered().size(), 2u);
   EXPECT_EQ(sink.delivered()[1], "survivor");
   EXPECT_EQ(emitter.spool_depth(), 0u);
+}
+
+TEST(ReportEmitter, FailedSpoolWriteLeavesNoTornEntry) {
+  ScratchDir dir("spool_torn");
+  service::MemorySink sink;
+  bool down = true;
+  sink.fail_next = [&] { return down; };
+  service::ReportEmitter emitter(sink, {}, dir.file("spool"), 7, [](double) {});
+
+  // Cap this process's file size below the payload so the spool write fails
+  // partway through. With SIGXFSZ ignored the write returns EFBIG instead of
+  // killing the process; both are restored before any assertion.
+  rlimit saved{};
+  ASSERT_EQ(getrlimit(RLIMIT_FSIZE, &saved), 0);
+  rlimit capped = saved;
+  capped.rlim_cur = std::min<rlim_t>(4096, saved.rlim_max);
+  const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+  const bool capped_ok = setrlimit(RLIMIT_FSIZE, &capped) == 0;
+  const bool delivered = emitter.emit(std::string(64 * 1024, 'x'));
+  setrlimit(RLIMIT_FSIZE, &saved);
+  std::signal(SIGXFSZ, old_handler);
+  ASSERT_TRUE(capped_ok);
+
+  EXPECT_FALSE(delivered);
+  EXPECT_EQ(emitter.stats().lost, 1u);
+  EXPECT_EQ(emitter.stats().spooled, 0u);
+  EXPECT_EQ(emitter.spool_depth(), 0u) << "a torn report was left in the spool";
+
+  // The sink recovers: only the new report goes out, nothing is replayed.
+  down = false;
+  EXPECT_TRUE(emitter.emit("after"));
+  ASSERT_EQ(sink.delivered().size(), 1u);
+  EXPECT_EQ(sink.delivered()[0], "after");
+  EXPECT_EQ(emitter.stats().spool_replayed, 0u);
 }
 
 TEST(PipelineStats, SinkReplayFailuresLandInDegradedStats) {

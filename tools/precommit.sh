@@ -3,18 +3,15 @@
 #
 #   ln -s ../../tools/precommit.sh .git/hooks/pre-commit
 #
-# Commits that touch no lintable surface — sources or the gate's own
-# manifest/baseline — skip the gate entirely. Anything else runs the full
-# manifest+baseline form: the cross-file pass is what catches a retyped
+# Commits that touch no C++ source skip the gate entirely. Anything else
+# lints the whole tree: the cross-file pass is what catches a retyped
 # header signature firing R13 in files the commit never touched, so
 # there is no cheaper form for header changes.
 set -euo pipefail
 cd "$(dirname "$(readlink -f "$0")")/.."
 
 staged=$(git diff --cached --name-only --diff-filter=ACMRD)
-if [ -n "$staged" ] && ! grep -qE \
-    '\.(h|cpp)$|^tools/tamperlint\.(manifest|baseline)$' \
-    <<<"$staged"; then
+if [ -n "$staged" ] && ! grep -qE '\.(h|cpp)$' <<<"$staged"; then
   echo "pre-commit: no lintable surface staged; skipping lint gate"
   exit 0
 fi

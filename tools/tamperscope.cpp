@@ -85,6 +85,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <chrono>
@@ -257,7 +258,7 @@ class SnapshotFlusher {
   std::thread thread_;
 };
 
-int cmd_signatures() {
+int cmd_signatures(const Args& /*args*/) {
   common::TextTable table({"Signature", "ASCII name", "Stage", "Description"});
   const std::map<core::Signature, std::string> descriptions = {
       {core::Signature::kSynNone, "no packets after a single SYN"},
@@ -1101,20 +1102,50 @@ int cmd_trends(const Args& args) {
   return 0;
 }
 
+/// Every subcommand with the option names it reads (log-level and
+/// log-format where it builds a logger). main rejects any other option
+/// before dispatch, so a misspelled `--conections` is a usage error rather
+/// than a run with the default.
+struct Command {
+  std::string_view name;
+  int (*run)(const Args&);
+  std::vector<std::string_view> options;
+};
+
+const std::vector<Command> kCommands = {
+    {"signatures", cmd_signatures, {}},
+    {"classify", cmd_classify,
+     {"json", "strict", "lenient", "metrics-out", "trace-out", "log-level", "log-format"}},
+    {"simulate", cmd_simulate, {"connections", "seed", "json", "pcap"}},
+    {"testlists", cmd_testlists, {"region", "connections"}},
+    {"watch", cmd_watch,
+     {"connections", "seed", "checkpoint", "fresh", "report", "spool", "queue", "shed",
+      "checkpoint-every", "report-every", "metrics-out", "metrics-interval", "trace-out",
+      "trace-capacity", "overload", "admit-rate", "admit-burst", "timeseries-out",
+      "epoch-sec", "log-level", "log-format"}},
+    {"fleet", cmd_fleet,
+     {"pops", "connections", "seed", "state", "report", "report-every",
+      "checkpoint-every", "kill-pop", "lose-pop", "metrics-out", "timeseries-out",
+      "log-level", "log-format"}},
+    {"top", cmd_top,
+     {"pops", "connections", "seed", "frames", "interval", "clear", "state",
+      "report-every", "checkpoint-every", "overload", "admit-rate", "admit-burst"}},
+    {"trends", cmd_trends, {"checkpoint", "json", "seed", "scope", "log-level", "log-format"}},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const std::string command = argc > 1 ? argv[1] : "";
   const Args args = parse_args(argc, argv);
   try {
-    if (command == "signatures") return cmd_signatures();
-    if (command == "classify") return cmd_classify(args);
-    if (command == "simulate") return cmd_simulate(args);
-    if (command == "testlists") return cmd_testlists(args);
-    if (command == "watch") return cmd_watch(args);
-    if (command == "fleet") return cmd_fleet(args);
-    if (command == "top") return cmd_top(args);
-    if (command == "trends") return cmd_trends(args);
+    for (const Command& c : kCommands) {
+      if (c.name != command) continue;
+      for (const auto& [name, value] : args.options)
+        if (std::find(c.options.begin(), c.options.end(), name) == c.options.end())
+          throw UsageError("unknown option --" + name + " for " + command);
+      return c.run(args);
+    }
   } catch (const UsageError& e) {
     std::cerr << "usage error: " << e.what() << '\n';
     return 2;
@@ -1173,6 +1204,8 @@ int main(int argc, char** argv) {
                "                                     anomaly scan; --json writes the\n"
                "                                     tamper-timeseries/1 document, --scope\n"
                "                                     labels it (a PoP checkpoint is pop:<N>)\n"
-               "  common: --log-level debug|info|warn|error, --log-format text|json\n";
+               "  classify, watch, fleet, trends also take:\n"
+               "         --log-level debug|info|warn|error, --log-format text|json\n"
+               "  an option a subcommand does not read is a usage error (exit 2)\n";
   return command.empty() ? 2 : 1;
 }
