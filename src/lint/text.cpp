@@ -13,13 +13,25 @@ std::string strip_literals(std::string_view src, bool keep_comments) {
   std::string out(src.size(), ' ');
   enum class State { kCode, kLine, kBlock, kString, kChar, kRaw } state = State::kCode;
   std::string raw_delim;  // raw-string closing delimiter: ")delim\""
+  bool in_number = false;  // inside a pp-number, where ' is a digit separator
   for (std::size_t i = 0; i < src.size(); ++i) {
     const char c = src[i];
+    const char prev = i > 0 ? src[i - 1] : '\0';
     const char next = i + 1 < src.size() ? src[i + 1] : '\0';
     if (c == '\n') out[i] = '\n';
     switch (state) {
       case State::kCode:
-        if (c == '/' && next == '/') {
+        // A number starts at a digit that ends no identifier (u8'x' is a
+        // prefixed char literal) and runs on through identifier chars, '.',
+        // exponent signs and digit separators: 600'000 is one token.
+        in_number = in_number ? ident_char(c) || c == '.' || c == '\'' ||
+                                    ((c == '+' || c == '-') &&
+                                     (prev == 'e' || prev == 'E' || prev == 'p' || prev == 'P'))
+                              : std::isdigit(static_cast<unsigned char>(c)) != 0 &&
+                                    !ident_char(prev);
+        if (in_number) {
+          out[i] = c;
+        } else if (c == '/' && next == '/') {
           if (keep_comments) out[i] = c;
           state = State::kLine;
         } else if (c == '/' && next == '*') {
@@ -29,7 +41,7 @@ std::string strip_literals(std::string_view src, bool keep_comments) {
           }
           state = State::kBlock;
           ++i;
-        } else if (c == 'R' && next == '"' && (i == 0 || !ident_char(src[i - 1]))) {
+        } else if (c == 'R' && next == '"' && !ident_char(prev)) {
           // R"delim( ... )delim"
           std::size_t p = i + 2;
           while (p < src.size() && src[p] != '(') ++p;

@@ -201,6 +201,27 @@ const char* b = R"x(random_device in a raw string)x";
 )__";
   const auto findings = lint_source("src/analysis/x.cpp", src, {});
   EXPECT_TRUE(findings.empty()) << tamper::lint::format_text(findings);
+
+  // A digit separator belongs to its number: it opens no char literal that
+  // would blank the code after it. Prefixed char literals still strip (the
+  // quote inside u8'"' opens no string).
+  const std::string numbers = R"__(const int n = 600'000;
+int t1 = time(nullptr);
+const unsigned m = 0xFF'FFu;
+int t2 = time(nullptr);
+const double d = 1'000.5;
+int t3 = time(nullptr);
+const char8_t q = u8'"';
+const wchar_t e = L'\'';
+int t4 = time(nullptr);
+)__";
+  const auto fired = lint_source("src/analysis/x.cpp", numbers, {});
+  std::vector<int> lines;
+  for (const auto& f : fired) {
+    EXPECT_EQ(f.rule, "R1") << f.message;
+    lines.push_back(f.line);
+  }
+  EXPECT_EQ(lines, (std::vector<int>{2, 4, 6, 9})) << tamper::lint::format_text(fired);
 }
 
 TEST(LintOutput, DeterministicAndMachineReadable) {

@@ -3,7 +3,7 @@
 //   tamperscope signatures
 //       Print the Table 1 signature taxonomy.
 //
-//   tamperscope classify <capture.pcap> [--json] [--port N]
+//   tamperscope classify <capture.pcap> [--json] [--strict|--lenient]
 //       Assemble flows from a pcap of server-side inbound packets and
 //       classify each against the tampering signatures.
 //
@@ -167,19 +167,37 @@ struct Args {
   }
 };
 
-Args parse_args(int argc, char** argv) {
+/// Every subcommand with the options it reads (log-level and log-format
+/// where it builds a logger): `values` each take the next argument, `flags`
+/// never do. parse_args rejects any other option, so a misspelled
+/// `--conections` is a usage error rather than a run with the default.
+struct Command {
+  std::string_view name;
+  int (*run)(const Args&);
+  std::vector<std::string_view> values;
+  std::vector<std::string_view> flags = {};
+};
+
+Args parse_args(const Command& command, int argc, char** argv) {
+  const auto listed = [](const std::vector<std::string_view>& names, const std::string& name) {
+    return std::find(names.begin(), names.end(), name) != names.end();
+  };
   Args args;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--", 0) == 0) {
-      const std::string name = arg.substr(2);
-      if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        args.options[name] = argv[++i];
-      } else {
-        args.options[name] = "true";
-      }
-    } else {
+    if (arg.rfind("--", 0) != 0) {
       args.positional.push_back(arg);
+      continue;
+    }
+    const std::string name = arg.substr(2);
+    if (listed(command.flags, name)) {
+      args.options[name] = "";
+    } else if (!listed(command.values, name)) {
+      throw UsageError("unknown option --" + name + " for " + std::string(command.name));
+    } else if (i + 1 < argc && std::string_view(argv[i + 1]).rfind("--", 0) != 0) {
+      args.options[name] = argv[++i];
+    } else {
+      throw UsageError("--" + name + " wants a value");
     }
   }
   return args;
@@ -1102,34 +1120,26 @@ int cmd_trends(const Args& args) {
   return 0;
 }
 
-/// Every subcommand with the option names it reads (log-level and
-/// log-format where it builds a logger). main rejects any other option
-/// before dispatch, so a misspelled `--conections` is a usage error rather
-/// than a run with the default.
-struct Command {
-  std::string_view name;
-  int (*run)(const Args&);
-  std::vector<std::string_view> options;
-};
-
 const std::vector<Command> kCommands = {
     {"signatures", cmd_signatures, {}},
     {"classify", cmd_classify,
-     {"json", "strict", "lenient", "metrics-out", "trace-out", "log-level", "log-format"}},
+     {"metrics-out", "trace-out", "log-level", "log-format"},
+     {"json", "strict", "lenient"}},
     {"simulate", cmd_simulate, {"connections", "seed", "json", "pcap"}},
     {"testlists", cmd_testlists, {"region", "connections"}},
     {"watch", cmd_watch,
-     {"connections", "seed", "checkpoint", "fresh", "report", "spool", "queue", "shed",
-      "checkpoint-every", "report-every", "metrics-out", "metrics-interval", "trace-out",
-      "trace-capacity", "overload", "admit-rate", "admit-burst", "timeseries-out",
-      "epoch-sec", "log-level", "log-format"}},
+     {"connections", "seed", "checkpoint", "report", "spool", "queue", "checkpoint-every",
+      "report-every", "metrics-out", "metrics-interval", "trace-out", "trace-capacity",
+      "admit-rate", "admit-burst", "timeseries-out", "epoch-sec", "log-level", "log-format"},
+     {"fresh", "shed", "overload"}},
     {"fleet", cmd_fleet,
      {"pops", "connections", "seed", "state", "report", "report-every",
       "checkpoint-every", "kill-pop", "lose-pop", "metrics-out", "timeseries-out",
       "log-level", "log-format"}},
     {"top", cmd_top,
-     {"pops", "connections", "seed", "frames", "interval", "clear", "state",
-      "report-every", "checkpoint-every", "overload", "admit-rate", "admit-burst"}},
+     {"pops", "connections", "seed", "frames", "interval", "state", "report-every",
+      "checkpoint-every", "admit-rate", "admit-burst"},
+     {"clear", "overload"}},
     {"trends", cmd_trends, {"checkpoint", "json", "seed", "scope", "log-level", "log-format"}},
 };
 
@@ -1137,15 +1147,9 @@ const std::vector<Command> kCommands = {
 
 int main(int argc, char** argv) {
   const std::string command = argc > 1 ? argv[1] : "";
-  const Args args = parse_args(argc, argv);
   try {
-    for (const Command& c : kCommands) {
-      if (c.name != command) continue;
-      for (const auto& [name, value] : args.options)
-        if (std::find(c.options.begin(), c.options.end(), name) == c.options.end())
-          throw UsageError("unknown option --" + name + " for " + command);
-      return c.run(args);
-    }
+    for (const Command& c : kCommands)
+      if (c.name == command) return c.run(parse_args(c, argc, argv));
   } catch (const UsageError& e) {
     std::cerr << "usage error: " << e.what() << '\n';
     return 2;
