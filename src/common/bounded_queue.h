@@ -11,11 +11,31 @@
 //     behind) so real connections survive overload. Every shed is counted
 //     and the service folds the counts into DegradedStats.
 //
+// Hand-off cost is paid per batch, not per item:
+//
+//   * The consumer drains with pop_batch(), which moves up to kMaxBatch
+//     items under one lock acquisition into a container the consumer owns.
+//   * A push wakes the consumer only when a consumer is waiting on an empty
+//     queue; a consumer busy with its last batch is never signalled.
+//   * A producer blocked on a full queue is woken only when a pop lifts the
+//     free space to a quarter of the capacity (the wake watermark), not
+//     after every pop, so a blocked producer costs one wake per
+//     quarter-queue instead of one per item. At the watermark every blocked
+//     producer is woken: waking one could let it push a few last items and
+//     leave the others asleep while the consumer empties the queue, which
+//     never crosses the watermark again. close() also wakes everyone.
+//
+// Items a consumer has popped are no longer this queue's: size() counts
+// only what is still queued. A consumer that holds a batch must add what it
+// holds wherever "admitted, not yet processed" is the question (the service
+// does, see SupervisedService::backlog).
+//
 // Locking: one Mutex guards all mutable state; the capability annotations
 // below make that discipline compile-time checked under Clang
 // -Wthread-safety (see common/thread_annotations.h).
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -52,52 +72,70 @@ class BoundedQueue {
  public:
   using Stats = BoundedQueueStats;
 
+  /// Most items one pop_batch() moves.
+  static constexpr std::size_t kMaxBatch = 256;
+
   BoundedQueue(std::size_t capacity, QueuePolicy policy,
                std::function<bool(const T&)> shed_first = {})
       : capacity_(capacity == 0 ? 1 : capacity),
+        wake_free_(std::max<std::size_t>(1, capacity_ / 4)),
         policy_(policy),
         shed_first_(std::move(shed_first)) {}
 
   /// Returns false only when the queue is closed (item not enqueued).
   bool push(T item) TAMPER_EXCLUDES(mu_) {
     UniqueLock lock(mu_);
-    if (policy_ == QueuePolicy::kBlock) {
-      if (items_.size() >= capacity_ && !closed_) ++stats_.push_waits;
-      while (!closed_ && items_.size() >= capacity_) not_full_.wait(lock);
-      if (closed_) return false;
-    } else if (items_.size() >= capacity_) {
-      if (closed_) return false;
-      shed_one(std::move(item));
-      not_empty_.notify_one();
-      return true;
-    }
     if (closed_) return false;
+    if (policy_ == QueuePolicy::kBlock) {
+      if (items_.size() >= capacity_) {
+        ++stats_.push_waits;
+        while (!closed_ && items_.size() >= capacity_) not_full_.wait(lock);
+        if (closed_) return false;
+      }
+    } else if (items_.size() >= capacity_) {
+      shed_one(std::move(item));
+      return true;  // the queue was full, so no consumer is waiting
+    }
     items_.push_back(std::move(item));
     ++stats_.pushed;
-    not_empty_.notify_one();
+    if (waiting_consumers_ > 0) not_empty_.notify_one();
     return true;
   }
 
-  /// Wait up to `timeout` for an item; empty optional on timeout or when
-  /// the queue is closed and drained.
+  /// Move up to `max` (at most kMaxBatch) items, oldest first, onto the back
+  /// of `out`. Waits up to `timeout` for the first item, never for more.
+  /// Returns the number moved: 0 on timeout, or once the queue is closed and
+  /// drained.
   template <typename Rep, typename Period>
-  std::optional<T> pop_wait(std::chrono::duration<Rep, Period> timeout)
-      TAMPER_EXCLUDES(mu_) {
+  std::size_t pop_batch(std::deque<T>& out, std::chrono::duration<Rep, Period> timeout,
+                        std::size_t max = kMaxBatch) TAMPER_EXCLUDES(mu_) {
     const auto deadline = std::chrono::steady_clock::now() + timeout;
     UniqueLock lock(mu_);
+    ++waiting_consumers_;
     while (!closed_ && items_.empty()) {
       if (not_empty_.wait_until(lock, deadline) == std::cv_status::timeout) break;
     }
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    ++stats_.popped;
-    not_full_.notify_one();
-    return item;
+    --waiting_consumers_;
+    // A producer only ever blocks on a full queue, so every blocked producer
+    // is asleep from before the free space last rose through the watermark:
+    // waking all of them at that crossing wakes each one.
+    const bool below_watermark = capacity_ - items_.size() < wake_free_;
+    const std::size_t n = std::min({items_.size(), max, kMaxBatch});
+    for (std::size_t i = 0; i < n; ++i) {
+      out.push_back(std::move(items_.front()));
+      items_.pop_front();
+    }
+    stats_.popped += n;
+    if (below_watermark && capacity_ - items_.size() >= wake_free_) not_full_.notify_all();
+    return n;
   }
 
-  /// Non-blocking pop.
-  std::optional<T> try_pop() { return pop_wait(std::chrono::seconds(0)); }
+  /// Non-blocking pop of one item.
+  std::optional<T> try_pop() {
+    std::deque<T> one;
+    if (pop_batch(one, std::chrono::seconds(0), 1) == 0) return std::nullopt;
+    return std::move(one.front());
+  }
 
   /// Reject future pushes and wake all waiters; queued items stay poppable.
   void close() TAMPER_EXCLUDES(mu_) {
@@ -150,6 +188,7 @@ class BoundedQueue {
   }
 
   const std::size_t capacity_;
+  const std::size_t wake_free_;  ///< free slots that wake blocked producers
   const QueuePolicy policy_;
   const std::function<bool(const T&)> shed_first_;
 
@@ -158,6 +197,7 @@ class BoundedQueue {
   std::condition_variable_any not_full_;
   std::deque<T> items_ TAMPER_GUARDED_BY(mu_);
   Stats stats_ TAMPER_GUARDED_BY(mu_);
+  std::size_t waiting_consumers_ TAMPER_GUARDED_BY(mu_) = 0;
   bool closed_ TAMPER_GUARDED_BY(mu_) = false;
 };
 

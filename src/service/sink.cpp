@@ -6,12 +6,19 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <thread>
 
 namespace tamper::service {
 
 namespace fs = std::filesystem;
+
+namespace {
+
+/// Prefix of a spool entry still being written. spool_files() lists only
+/// names starting with "report-", so these are never replayed or counted.
+constexpr const char* kSpoolTempPrefix = "tmp-";
+
+}  // namespace
 
 bool FileSink::deliver(const std::string& payload) {
   const std::string tmp = path_ + ".tmp";
@@ -46,6 +53,12 @@ ReportEmitter::ReportEmitter(Sink& sink, RetryPolicy policy, std::string spool_d
   if (!spool_dir_.empty()) {
     std::error_code ec;
     fs::create_directories(spool_dir_, ec);
+    // A temp entry is a spool write a previous process died inside: never
+    // renamed into place, so never a report. Drop it.
+    for (const auto& entry : fs::directory_iterator(spool_dir_, ec)) {
+      if (entry.path().filename().string().rfind(kSpoolTempPrefix, 0) == 0)
+        fs::remove(entry.path(), ec);
+    }
     // Resume the sequence past any reports spooled by a previous process so
     // replay order stays oldest-first across restarts.
     common::MutexLock lock(mu_);
@@ -119,19 +132,24 @@ void ReportEmitter::spool(const std::string& payload) {
   char name[32];
   std::snprintf(name, sizeof name, "report-%012llu",
                 static_cast<unsigned long long>(seq));
+  // Written under a temp name spool_files() ignores, then renamed into
+  // place: a crash mid-write leaves a temp entry (dropped by the next
+  // constructor), never a truncated report-N that replay would deliver.
   const fs::path path = fs::path(spool_dir_) / name;
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  const fs::path tmp = fs::path(spool_dir_) / (kSpoolTempPrefix + std::string(name));
+  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+  const bool written = out && (out << payload).flush();
+  out.close();
+  std::error_code ec;
+  if (written) fs::rename(tmp, path, ec);
+  if (!written || ec) {
+    fs::remove(tmp, ec);
+    common::MutexLock lock(mu_);
+    ++stats_.lost;
+    return;
+  }
   {
     common::MutexLock lock(mu_);
-    if (!out || !(out << payload).flush()) {
-      // Remove the torn entry: replay would otherwise deliver the truncated
-      // payload as if it were the report.
-      out.close();
-      std::error_code ec;
-      fs::remove(path, ec);
-      ++stats_.lost;
-      return;
-    }
     ++stats_.spooled;
   }
   // Enforce the spool cap by evicting oldest-first: under sustained sink
@@ -140,7 +158,6 @@ void ReportEmitter::spool(const std::string& payload) {
   // counted — data loss by policy, never silent.
   if (policy_.max_spool_depth > 0) {
     std::vector<std::string> names = spool_files();
-    std::error_code ec;
     for (std::size_t i = 0; names.size() - i > policy_.max_spool_depth; ++i) {
       fs::remove(fs::path(spool_dir_) / names[i], ec);
       common::MutexLock lock(mu_);
@@ -153,9 +170,14 @@ void ReportEmitter::replay_spool() {
   if (spool_dir_.empty()) return;
   for (const std::string& name : spool_files()) {
     const fs::path path = fs::path(spool_dir_) / name;
+    // Sized once and read in one call, as load_checkpoint does. file_size
+    // also refuses what is not a regular file, such as a directory.
     std::error_code ec;
     std::ifstream in(path, std::ios::binary);
-    if (!fs::is_regular_file(path, ec) || !in) {
+    const std::uintmax_t size = fs::file_size(path, ec);
+    std::string payload;
+    if (!ec) payload.resize(static_cast<std::size_t>(size));
+    if (ec || !in || !in.read(payload.data(), static_cast<std::streamsize>(payload.size()))) {
       // An unreadable spool entry is data loss: a previous pass accepted
       // the report into the spool and this one cannot deliver it. Count it
       // and quarantine it (rename bad-*) so one poisoned entry cannot stall
@@ -168,7 +190,6 @@ void ReportEmitter::replay_spool() {
       if (ec) fs::remove_all(path, ec);
       continue;
     }
-    std::string payload((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
     in.close();
     // One direct attempt per spooled report — the spool is already the
     // fallback, so a failure just leaves the file for the next replay.

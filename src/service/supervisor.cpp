@@ -118,7 +118,7 @@ void SupervisedService::register_metrics() {
     q_waits->increment_to(qs.push_waits);
     shed_embryonic->increment_to(qs.shed_low_value);
     shed_forced->increment_to(qs.shed_other);
-    queue_depth->set(static_cast<double>(queue_.size()));
+    queue_depth->set(static_cast<double>(backlog()));
     queue_capacity->set(static_cast<double>(config_.queue_capacity));
     const std::uint64_t beat_ns = last_beat_ns_.load();
     const std::uint64_t now_ns = clock_->now_ns();
@@ -207,7 +207,7 @@ bool SupervisedService::submit(capture::ConnectionSample sample) {
     // controller and folded into DegradedStats at the next checkpoint or
     // report.
     control::OverloadController::Inputs inputs;
-    inputs.queue_depth = queue_.size();
+    inputs.queue_depth = backlog();
     inputs.queue_capacity = config_.queue_capacity;
     inputs.spool_depth = spool_depth_cache_.load(std::memory_order_relaxed);
     overload_->observe(inputs);
@@ -231,22 +231,27 @@ void SupervisedService::worker_main() {
   try {
     while (!abort_.load()) {
       const std::uint64_t tick = hook_tick_.fetch_add(1);
-      // The hook fires before the pop so an injected crash never loses a
-      // sample — the queue still holds it for the restarted stage.
+      // The hook fires before the sample leaves the inbox, so an injected
+      // crash never loses one: the restarted stage resumes from the inbox.
       if (config_.ingest_hook) config_.ingest_hook(tick);
       if (restart_requested_.exchange(false)) throw StageRestartRequested{};
-      auto item = queue_.pop_wait(config_.pop_timeout);
+      if (inbox_.empty()) {
+        queue_.pop_batch(inbox_, config_.pop_timeout);
+        inbox_depth_.store(inbox_.size(), std::memory_order_relaxed);
+      }
       heartbeat_.fetch_add(1);
       last_beat_ns_.store(clock_->now_ns());
       if (abort_.load()) {
         exit_state = WorkerState::kAborted;
         break;
       }
-      if (!item) {
+      if (inbox_.empty()) {
         if (queue_.closed()) break;  // closed + empty: fully drained
         continue;
       }
-      pipeline_->ingest(*item);
+      pipeline_->ingest(inbox_.front());  // noexcept: taken exactly once
+      inbox_.pop_front();
+      inbox_depth_.store(inbox_.size(), std::memory_order_relaxed);
       const std::uint64_t n = ingested_c_->add(1) - base_.ingested;
       if (!config_.checkpoint_path.empty() && config_.checkpoint_every_samples != 0 &&
           n % config_.checkpoint_every_samples == 0)
@@ -314,13 +319,13 @@ void SupervisedService::watchdog_main() {
     if (heartbeat != last_heartbeat) {
       last_heartbeat = heartbeat;
       last_progress = Clock::now();
-    } else if (queue_.size() > 0 && Clock::now() - last_progress > config_.stall_timeout) {
+    } else if (backlog() > 0 && Clock::now() - last_progress > config_.stall_timeout) {
       // The stage is wedged with work pending. We cannot safely terminate
       // a running thread, so request a self-restart: the worker throws on
       // its next live instruction and comes back through the crash path.
       stalls_detected_c_->add(1);
       log(obs::LogLevel::kWarn, "worker stall detected; requesting restart",
-          {{"queued", std::to_string(queue_.size())}});
+          {{"queued", std::to_string(backlog())}});
       restart_requested_.store(true);
       last_progress = Clock::now();
     }
@@ -434,6 +439,9 @@ RunSummary SupervisedService::finish(bool persist) {
       record_degraded_sources();
       if (!config_.checkpoint_path.empty()) write_checkpoint();
       if (emitter_ != nullptr) emit_report(/*force=*/true);
+    } else {
+      inbox_.clear();  // abandoned with the queue, like kill -9
+      inbox_depth_.store(0, std::memory_order_relaxed);
     }
   }
   return summarize();

@@ -3,11 +3,15 @@
 //
 // Topology (one process):
 //
-//   producers --submit()--> BoundedQueue --pop--> worker stage
+//   producers --submit()--> BoundedQueue --pop_batch--> inbox --> worker stage
 //                                                   | ingest -> Pipeline
 //                                                   | periodic checkpoint
 //                                                   | periodic report emit
 //                                       watchdog: heartbeat / stall / crash
+//
+// The worker drains the queue a batch at a time into its inbox and ingests
+// from there, one sample per loop iteration. The inbox belongs to the
+// service, not to the worker thread, so it outlives a stage restart.
 //
 // Contract with hostile runtime conditions:
 //   * Load spikes   — the queue blocks producers or sheds embryonic-first;
@@ -15,24 +19,27 @@
 //   * Stage crashes — a throwing ingest hook (chaos) or any internal error
 //     is caught at the worker top level; the watchdog joins the dead thread
 //     and restarts the stage while the restart budget lasts. Samples are
-//     never lost to a crash: the hook runs before the pop.
+//     never lost to a crash: the hook runs before a sample leaves the
+//     inbox, and the restarted stage resumes from the inbox.
 //   * Stalls        — a frozen worker (heartbeat not advancing while work
-//     is queued) is detected by the watchdog, counted, and restarted
-//     through the same budget.
+//     is queued or held in the inbox) is detected by the watchdog,
+//     counted, and restarted through the same budget.
 //   * kill -9       — at most one checkpoint interval of aggregates is
 //     lost; restart with the same checkpoint path resumes mid-stream.
 //   * Sink outages  — reports retry with backoff + jitter, then spool to
 //     disk and replay later (see service::ReportEmitter).
 //
-// Shutdown: stop() closes the queue, drains it, writes a final checkpoint
-// and emits a final report. kill() abandons in place (the kill -9 model,
-// for chaos tests) — threads are joined but no state is persisted.
+// Shutdown: stop() closes the queue, drains it and the inbox, writes a
+// final checkpoint and emits a final report. kill() abandons in place (the
+// kill -9 model, for chaos tests) — threads are joined, the inbox is
+// dropped with the queue, and no state is persisted.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -76,7 +83,7 @@ struct ServiceConfig {
   std::chrono::milliseconds stall_timeout{2000};
   std::chrono::milliseconds pop_timeout{20};
 
-  /// Chaos hook, called with the sample index before each pop+ingest; may
+  /// Chaos hook, called with the loop tick before each (pop and) ingest; may
   /// throw (stage crash) or sleep (stall). Tests wire fault::ChaosSchedule
   /// in here; production leaves it empty.
   std::function<void(std::uint64_t)> ingest_hook;
@@ -240,6 +247,12 @@ class SupervisedService {
   void write_checkpoint();
   void emit_report(bool force = false);
   void record_degraded_sources();
+  /// Samples admitted but not yet ingested: queued plus held in the inbox.
+  /// The one depth the stall check, the overload ladder and the
+  /// tamper_queue_depth gauge read.
+  [[nodiscard]] std::size_t backlog() const {
+    return queue_.size() + inbox_depth_.load(std::memory_order_relaxed);
+  }
   RunSummary finish(bool persist);
   [[nodiscard]] RunSummary summarize() TAMPER_EXCLUDES(lifecycle_mu_);
 
@@ -248,6 +261,12 @@ class SupervisedService {
   ReportEmitter* emitter_;
   std::unique_ptr<analysis::Pipeline> pipeline_;
   common::BoundedQueue<capture::ConnectionSample> queue_;
+  /// The batch the worker drained from queue_ and has not ingested yet.
+  /// Touched only by the thread driving the pipeline (the worker, or
+  /// finish() after the final join), like checkpoint_seq_; other threads
+  /// read its size through inbox_depth_.
+  std::deque<capture::ConnectionSample> inbox_;
+  std::atomic<std::size_t> inbox_depth_{0};
   /// Null unless config_.overload.enabled. Destroyed explicitly detached
   /// from the registry (see ~SupervisedService) because owned_metrics_ may
   /// die first.

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstdlib>
+#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -23,6 +24,7 @@
 #include "analysis/report.h"
 #include "common/bounded_queue.h"
 #include "fault/chaos.h"
+#include "obs/metrics.h"
 #include "service/checkpoint.h"
 #include "service/shutdown.h"
 #include "service/sink.h"
@@ -96,8 +98,10 @@ TEST(BoundedQueue, BlockPolicyDeliversEverythingInOrder) {
   // push_waits assertion below is deterministic.
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
   int expect = 0;
-  while (auto item = q.pop_wait(std::chrono::seconds(1))) {
-    EXPECT_EQ(*item, expect++);
+  std::deque<int> batch;
+  while (q.pop_batch(batch, std::chrono::seconds(1)) > 0) {
+    for (const int item : batch) EXPECT_EQ(item, expect++);
+    batch.clear();
   }
   producer.join();
   EXPECT_EQ(expect, 100);
@@ -107,6 +111,79 @@ TEST(BoundedQueue, BlockPolicyDeliversEverythingInOrder) {
   EXPECT_EQ(stats.shed_total(), 0u);
   // Capacity 4 with a never-popping consumer at first: some pushes waited.
   EXPECT_GT(stats.push_waits, 0u);
+}
+
+TEST(BoundedQueue, PopBatchMovesAtMostTheLimitInOrder) {
+  using Queue = common::BoundedQueue<int>;
+  constexpr int kTotal = static_cast<int>(Queue::kMaxBatch) + 10;
+  Queue q(2 * Queue::kMaxBatch, common::QueuePolicy::kBlock);
+  for (int i = 0; i < kTotal; ++i) ASSERT_TRUE(q.push(i));
+
+  std::deque<int> out{-1};  // pop_batch appends; what the caller held stays
+  EXPECT_EQ(q.pop_batch(out, std::chrono::seconds(0)), Queue::kMaxBatch);
+  EXPECT_EQ(q.stats().popped, Queue::kMaxBatch);
+  EXPECT_EQ(q.size(), 10u);
+  EXPECT_EQ(q.pop_batch(out, std::chrono::seconds(0), 3), 3u);
+  EXPECT_EQ(q.pop_batch(out, std::chrono::seconds(0), 5 * Queue::kMaxBatch), 7u);
+  EXPECT_EQ(q.pop_batch(out, std::chrono::milliseconds(1)), 0u);  // empty: timeout
+
+  ASSERT_EQ(out.size(), static_cast<std::size_t>(kTotal) + 1);
+  for (int i = -1; i < kTotal; ++i) EXPECT_EQ(out[static_cast<std::size_t>(i + 1)], i);
+  const auto stats = q.stats();
+  EXPECT_EQ(stats.pushed, static_cast<std::uint64_t>(kTotal));
+  EXPECT_EQ(stats.popped, stats.pushed);
+}
+
+TEST(BoundedQueue, BlockedProducersAllResumeAfterADrain) {
+  // Four producers block on a full queue before the consumer pops anything.
+  // The consumer then drains in batches; each crossing of the wake watermark
+  // must wake every blocked producer, or a producer that pushes its last few
+  // items leaves the others asleep beside an empty queue.
+  constexpr int kProducers = 4;
+  constexpr int kPerProducer = 1001;  // not a multiple of the capacity
+  common::BoundedQueue<int> q(16, common::QueuePolicy::kBlock);
+  std::atomic<int> finished{0};
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&q, &finished, p] {
+      for (int i = 0; i < kPerProducer; ++i)
+        if (!q.push(p * kPerProducer + i)) break;
+      finished.fetch_add(1);
+    });
+  }
+  // With nobody popping, each producer's push_wait is one blocked producer.
+  const auto bound = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (q.stats().push_waits < kProducers && std::chrono::steady_clock::now() < bound)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_EQ(q.stats().push_waits, static_cast<std::uint64_t>(kProducers));
+
+  std::vector<int> next(kProducers, 0);  // per-producer FIFO cursor
+  std::size_t received = 0;
+  std::deque<int> batch;
+  while (received < kProducers * kPerProducer && std::chrono::steady_clock::now() < bound) {
+    q.pop_batch(batch, std::chrono::milliseconds(20));
+    for (const int item : batch) {
+      const int p = item / kPerProducer;
+      ASSERT_GE(p, 0);
+      ASSERT_LT(p, kProducers);
+      EXPECT_EQ(item % kPerProducer, next[static_cast<std::size_t>(p)]++)
+          << "producer " << p << " out of order or duplicated";
+    }
+    received += batch.size();
+    batch.clear();
+  }
+  while (finished.load() < kProducers && std::chrono::steady_clock::now() < bound)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  const int stuck = kProducers - finished.load();
+  q.close();  // frees a stuck producer so the joins below return either way
+  for (auto& t : producers) t.join();
+
+  EXPECT_EQ(stuck, 0) << "producers left blocked after the drain";
+  EXPECT_EQ(received, static_cast<std::size_t>(kProducers * kPerProducer));
+  for (int p = 0; p < kProducers; ++p) EXPECT_EQ(next[static_cast<std::size_t>(p)], kPerProducer);
+  const auto stats = q.stats();
+  EXPECT_EQ(stats.pushed, stats.popped);
+  EXPECT_EQ(stats.pushed, static_cast<std::uint64_t>(kProducers * kPerProducer));
 }
 
 TEST(BoundedQueue, ClosedQueueRejectsPushAndDrains) {
@@ -435,6 +512,30 @@ TEST(ReportEmitter, UnreadableSpoolEntryIsCountedAndQuarantined) {
   EXPECT_EQ(emitter.spool_depth(), 0u);
 }
 
+TEST(ReportEmitter, LeftoverTempEntryIsDroppedNotReplayed) {
+  ScratchDir dir("spool_tmp");
+  const std::string spool = dir.file("spool");
+  fs::create_directories(spool);
+  // A process that died mid-write left its temp entry behind.
+  const std::string garbage("\x00\xff\x13torn", 7);
+  std::ofstream(spool + "/tmp-report-000000000004", std::ios::binary) << garbage;
+  std::ofstream(spool + "/report-000000000002") << "whole";
+
+  service::MemorySink sink;
+  service::ReportEmitter emitter(sink, {}, spool, 7, [](double) {});
+  EXPECT_FALSE(fs::exists(spool + "/tmp-report-000000000004"));
+  // One written while this emitter runs is not a report either.
+  std::ofstream(spool + "/tmp-report-000000000005", std::ios::binary) << garbage;
+  EXPECT_EQ(emitter.spool_depth(), 1u);
+
+  EXPECT_TRUE(emitter.emit("fresh"));
+  ASSERT_EQ(sink.delivered().size(), 2u);
+  EXPECT_EQ(sink.delivered()[1], "whole");
+  EXPECT_EQ(emitter.stats().spool_replayed, 1u);
+  EXPECT_EQ(emitter.stats().spool_replay_failures, 0u);
+  EXPECT_EQ(emitter.spool_depth(), 0u);
+}
+
 TEST(ReportEmitter, FailedSpoolWriteLeavesNoTornEntry) {
   ScratchDir dir("spool_torn");
   service::MemorySink sink;
@@ -556,6 +657,92 @@ TEST(SupervisedService, InjectedCrashesAreRestartedWithoutSampleLoss) {
   EXPECT_EQ(summary.worker_crashes, 3u);
   EXPECT_EQ(summary.worker_restarts, 3u);
   EXPECT_EQ(summary.ingested, samples.size());  // the hook fires pre-pop
+  EXPECT_FALSE(summary.failed);
+}
+
+/// Holds the worker at its first tick until `ready` is set, so the first
+/// batch the worker drains holds every sample submitted before that.
+void wait_until_ready(const std::atomic<bool>& ready) {
+  const auto bound = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!ready.load() && std::chrono::steady_clock::now() < bound)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+}
+
+/// Samples the worker has drained from the queue but not yet ingested.
+double held_in_inbox(obs::Registry& metrics) {
+  double popped = 0.0;
+  double ingested = 0.0;
+  metrics.refresh();
+  EXPECT_TRUE(metrics.read_family_total("tamper_queue_popped_total", &popped));
+  EXPECT_TRUE(metrics.read_family_total("tamper_ingest_samples_total", &ingested));
+  return popped - ingested;
+}
+
+TEST(SupervisedService, CrashInsideADrainedBatchLosesNoSample) {
+  const auto samples = generate_samples(800);
+  analysis::Pipeline reference(shared_world());
+  for (const auto& s : samples) reference.ingest(s);
+
+  obs::Registry metrics;
+  auto cfg = fast_config();
+  cfg.queue_capacity = 1024;  // every sample fits: no submit blocks
+  cfg.metrics = &metrics;
+  std::atomic<bool> ready{false};
+  std::atomic<double> held_at_crash{0.0};
+  cfg.ingest_hook = [&](std::uint64_t tick) {
+    if (tick == 0) wait_until_ready(ready);
+    if (tick == 100) {
+      held_at_crash.store(held_in_inbox(metrics));
+      throw fault::InjectedCrash{};
+    }
+  };
+  service::SupervisedService svc(shared_world(), cfg, nullptr);
+  ASSERT_TRUE(svc.start());
+  for (const auto& s : samples) ASSERT_TRUE(svc.submit(s));
+  ready.store(true);
+  const auto summary = svc.stop();
+
+  // The first drain took a full batch, so the crash hit mid-batch.
+  EXPECT_EQ(held_at_crash.load(),
+            static_cast<double>(common::BoundedQueue<int>::kMaxBatch - 100));
+  EXPECT_EQ(summary.worker_crashes, 1u);
+  EXPECT_EQ(summary.worker_restarts, 1u);
+  EXPECT_EQ(summary.ingested, samples.size());
+  EXPECT_EQ(summary.queue.popped, samples.size());
+  EXPECT_EQ(service::encode_checkpoint(svc.pipeline(), {}),
+            service::encode_checkpoint(reference, {}));
+}
+
+TEST(SupervisedService, StallWithWorkOnlyInTheInboxIsDetected) {
+  const auto samples = generate_samples(50);  // fewer than one batch
+  obs::Registry metrics;
+  auto cfg = fast_config();
+  cfg.stall_timeout = std::chrono::milliseconds(50);
+  cfg.metrics = &metrics;
+  std::atomic<bool> ready{false};
+  std::atomic<double> queued_at_stall{-1.0};
+  std::atomic<double> held_at_stall{0.0};
+  cfg.ingest_hook = [&](std::uint64_t tick) {
+    if (tick == 0) wait_until_ready(ready);
+    if (tick == 10) {
+      double queued = -1.0;
+      metrics.refresh();
+      EXPECT_TRUE(metrics.read_family_total("tamper_queue_depth", &queued));
+      held_at_stall.store(held_in_inbox(metrics));
+      queued_at_stall.store(queued - held_at_stall.load());
+      std::this_thread::sleep_for(std::chrono::milliseconds(400));
+    }
+  };
+  service::SupervisedService svc(shared_world(), cfg, nullptr);
+  ASSERT_TRUE(svc.start());
+  for (const auto& s : samples) ASSERT_TRUE(svc.submit(s));
+  ready.store(true);
+  const auto summary = svc.stop();
+
+  EXPECT_EQ(queued_at_stall.load(), 0.0) << "the queue was not empty at the stall";
+  EXPECT_EQ(held_at_stall.load(), 40.0);
+  EXPECT_GE(summary.stalls_detected, 1u);
+  EXPECT_EQ(summary.ingested, samples.size());
   EXPECT_FALSE(summary.failed);
 }
 

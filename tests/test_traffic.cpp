@@ -57,6 +57,41 @@ TEST(Traffic, ClassifierRecallOnGroundTruthIsTotal) {
   EXPECT_EQ(flagged, tampered);  // every middlebox firing leaves a visible trace
 }
 
+TEST(Traffic, SignatureMatchScoredAgainstGroundTruth) {
+  // "A signature matched" scored against GroundTruth::tampered on the
+  // default traffic mix, seed 77, 100k connections. Measured: recall 0.998
+  // (10 misses of 5,324), normal-client precision 0.988 (57 false
+  // positives, all from path loss). All-flow precision is 0.255 by design:
+  // a signature means "possibly tampered", and SYN-only floods, Happy
+  // Eyeballs cancels and aborted transfers match too (EXPERIMENTS.md).
+  TrafficConfig config;
+  config.seed = 77;
+  TrafficGenerator generator(shared_world(), config);
+  core::SignatureClassifier classifier;
+  struct Score {
+    int true_pos = 0, false_pos = 0, false_neg = 0;
+    [[nodiscard]] double precision() const {
+      return static_cast<double>(true_pos) / (true_pos + false_pos);
+    }
+    [[nodiscard]] double recall() const {
+      return static_cast<double>(true_pos) / (true_pos + false_neg);
+    }
+  } all, normal;
+  generator.generate(100'000, [&](LabeledConnection&& conn) {
+    const bool matched = classifier.classify(conn.sample).signature.has_value();
+    const bool tampered = conn.truth.tampered;
+    for (Score* score : {&all, &normal}) {
+      if (score == &normal && conn.truth.client_kind != tcp::ClientKind::kNormal) continue;
+      if (matched && tampered) ++score->true_pos;
+      if (matched && !tampered) ++score->false_pos;
+      if (!matched && tampered) ++score->false_neg;
+    }
+  });
+  EXPECT_GE(all.recall(), 0.998) << all.false_neg << " misses of "
+                                 << all.true_pos + all.false_neg;
+  EXPECT_GE(normal.precision(), 0.988) << normal.false_pos << " normal-client false positives";
+}
+
 TEST(Traffic, CleanNormalConnectionsRarelyFlagged) {
   TrafficGenerator generator(shared_world(), small_config(2));
   core::SignatureClassifier classifier;
